@@ -8,12 +8,14 @@
 
 mod dump;
 mod kernel;
+pub mod postings;
 mod response;
 mod stats;
 mod store;
 
 pub use dump::{dump, restore, DUMP_HEADER};
 pub use kernel::{Kernel, KernelHealth};
+pub use postings::Postings;
 pub use response::{GroupRow, Response};
 pub use stats::{ExecStats, ExecTotals};
 pub use store::{aggregate, Store};

@@ -1,5 +1,6 @@
 //! The kernel store: files, directory indexes, and the request executor.
 
+use super::postings::{post, unpost, Postings};
 use super::response::{GroupRow, Response};
 use super::stats::{ExecStats, ExecTotals};
 use crate::error::{Error, Result};
@@ -10,43 +11,58 @@ use crate::value::Value;
 use crate::FILE_ATTR;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// One kernel file: a set of records plus its directory indexes.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct FileData {
+    /// The file's name, interned: every key→file entry shares it.
+    name: Arc<str>,
     /// Records keyed by database key (ordered: insertion order is key
     /// order, which makes FIND FIRST/NEXT navigation deterministic).
     records: BTreeMap<DbKey, Record>,
-    /// Directory: per-attribute value index.
-    indexes: HashMap<String, BTreeMap<Value, BTreeSet<DbKey>>>,
+    /// Directory: per-attribute value index. `FILE` is not indexed —
+    /// every record of this `FileData` has the same `FILE` value.
+    indexes: HashMap<String, BTreeMap<Value, Postings>>,
     /// `DUPLICATES ARE NOT ALLOWED` attribute groups.
     unique_groups: Vec<Vec<String>>,
 }
 
 impl FileData {
     fn index_insert(&mut self, key: DbKey, record: &Record) {
-        for kw in record.keywords() {
-            self.indexes
-                .entry(kw.attr.clone())
-                .or_default()
-                .entry(kw.value.clone())
-                .or_default()
-                .insert(key);
+        for kw in record.keywords().iter().filter(|kw| kw.attr != FILE_ATTR) {
+            let by_value = match self.indexes.get_mut(&kw.attr) {
+                Some(by_value) => by_value,
+                None => self.indexes.entry(kw.attr.clone()).or_default(),
+            };
+            post(by_value, kw.value.clone(), key);
         }
     }
 
     fn index_remove(&mut self, key: DbKey, record: &Record) {
         for kw in record.keywords() {
             if let Some(by_value) = self.indexes.get_mut(&kw.attr) {
-                if let Some(set) = by_value.get_mut(&kw.value) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        by_value.remove(&kw.value);
-                    }
-                }
+                unpost(by_value, &kw.value, key);
             }
         }
     }
+}
+
+/// A query's matches: the file and key of each matching record.
+type Matches = Vec<(Arc<str>, DbKey)>;
+
+/// The named file, created empty when absent.
+fn file_entry<'a>(files: &'a mut BTreeMap<String, FileData>, name: &str) -> &'a mut FileData {
+    if !files.contains_key(name) {
+        let data = FileData {
+            name: Arc::from(name),
+            records: BTreeMap::new(),
+            indexes: HashMap::new(),
+            unique_groups: Vec::new(),
+        };
+        files.insert(name.to_owned(), data);
+    }
+    files.get_mut(name).expect("file just ensured")
 }
 
 /// A single-site kernel database: the KDS of a one-backend MLDS, or one
@@ -55,8 +71,9 @@ impl FileData {
 pub struct Store {
     files: BTreeMap<String, FileData>,
     /// Which file each stored key lives in, so point lookups by key
-    /// need not scan every file.
-    key_files: HashMap<DbKey, String>,
+    /// need not scan every file. The names are the files' own interned
+    /// ones, shared rather than copied per key.
+    key_files: HashMap<DbKey, Arc<str>>,
     next_key: u64,
     indexing: bool,
     /// Lifetime execution counters (see [`ExecTotals`]).
@@ -85,14 +102,14 @@ impl Store {
     /// on first INSERT; explicit creation lets empty files be RETRIEVEd
     /// without an [`Error::UnknownFile`].
     pub fn create_file(&mut self, name: impl Into<String>) {
-        self.files.entry(name.into()).or_default();
+        file_entry(&mut self.files, &name.into());
     }
 
     /// Register a `DUPLICATES ARE NOT ALLOWED` constraint on a file.
     /// INSERTs whose values for *all* attributes of the group duplicate
     /// an existing record's are rejected.
     pub fn add_unique_constraint(&mut self, file: impl Into<String>, attrs: Vec<String>) {
-        let groups = &mut self.files.entry(file.into()).or_default().unique_groups;
+        let groups = &mut file_entry(&mut self.files, &file.into()).unique_groups;
         // Idempotent: re-registering an existing group (a reloaded
         // schema, a repeated `.spawn` seed) must not double-check it.
         if !groups.contains(&attrs) {
@@ -123,7 +140,7 @@ impl Store {
     /// Look a record up by database key. Goes through the key→file map
     /// rather than scanning every file.
     pub fn get(&self, key: DbKey) -> Option<&Record> {
-        self.files.get(self.key_files.get(&key)?)?.records.get(&key)
+        self.files.get(&**self.key_files.get(&key)?)?.records.get(&key)
     }
 
     /// Iterate every record in the store, in (file, key) order — the
@@ -153,10 +170,15 @@ impl Store {
     /// Uniqueness constraints are *not* checked here — the controller
     /// checks them globally.
     pub fn insert_with_key(&mut self, key: DbKey, record: Record) -> Result<()> {
-        let file = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
         self.next_key = self.next_key.max(key.0 + 1);
-        self.key_files.insert(key, file.clone());
-        let data = self.files.entry(file).or_default();
+        self.store_record(key, record)
+    }
+
+    /// File, index and key→file bookkeeping shared by every insert.
+    fn store_record(&mut self, key: DbKey, record: Record) -> Result<()> {
+        let file = record.file().ok_or(Error::MissingFileKeyword)?;
+        let data = file_entry(&mut self.files, file);
+        self.key_files.insert(key, Arc::clone(&data.name));
         if self.indexing {
             data.index_insert(key, &record);
         }
@@ -169,8 +191,7 @@ impl Store {
     /// scanning whole files). Returns `None` when the key is not stored
     /// here.
     pub fn record_by_key(&self, key: DbKey) -> Option<&Record> {
-        let file = self.key_files.get(&key)?;
-        self.files.get(file)?.records.get(&key)
+        self.get(key)
     }
 
     /// Raw removal by database key (MBDS group moves: a record whose
@@ -181,7 +202,7 @@ impl Store {
     /// `None` when the key was not stored here.
     pub fn remove_by_key(&mut self, key: DbKey) -> Option<Record> {
         let file = self.key_files.remove(&key)?;
-        let data = self.files.get_mut(&file)?;
+        let data = self.files.get_mut(&*file)?;
         let record = data.records.remove(&key)?;
         if self.indexing {
             data.index_remove(key, &record);
@@ -224,10 +245,10 @@ impl Store {
     // ----- INSERT ---------------------------------------------------
 
     fn exec_insert(&mut self, record: Record) -> Result<Response> {
-        let file_name = record.file().ok_or(Error::MissingFileKeyword)?.to_owned();
+        let file_name = record.file().ok_or(Error::MissingFileKeyword)?;
         let mut stats = ExecStats::default();
         // Uniqueness check against registered groups.
-        if let Some(data) = self.files.get(&file_name) {
+        if let Some(data) = self.files.get(file_name) {
             for group in &data.unique_groups {
                 if group.iter().all(|a| record.get(a).is_some()) {
                     let probe = Query::conjunction(
@@ -241,21 +262,19 @@ impl Store {
                             })
                             .collect(),
                     );
-                    let (hits, s) = self.eval_query_in_file(&file_name, &probe);
+                    let (hits, s) = self.eval_query_in_file(data, &probe);
                     stats += s;
                     if !hits.is_empty() {
-                        return Err(Error::DuplicateKey { file: file_name, attrs: group.clone() });
+                        return Err(Error::DuplicateKey {
+                            file: file_name.to_owned(),
+                            attrs: group.clone(),
+                        });
                     }
                 }
             }
         }
         let key = self.reserve_key();
-        self.key_files.insert(key, file_name.clone());
-        let data = self.files.entry(file_name).or_default();
-        if self.indexing {
-            data.index_insert(key, &record);
-        }
-        data.records.insert(key, record);
+        self.store_record(key, record)?;
         stats.records_written += 1;
         stats.finish(1);
         Ok(Response::with_affected(1, stats))
@@ -267,7 +286,7 @@ impl Store {
         let (matches, mut stats) = self.eval_query(query)?;
         let mut affected = 0usize;
         for (file, key) in matches {
-            let data = self.files.get_mut(&file).expect("matched file exists");
+            let data = self.files.get_mut(&*file).expect("matched file exists");
             if let Some(record) = data.records.remove(&key) {
                 if self.indexing {
                     data.index_remove(key, &record);
@@ -287,7 +306,7 @@ impl Store {
         let (matches, mut stats) = self.eval_query(query)?;
         let mut affected = 0usize;
         for (file, key) in matches {
-            let data = self.files.get_mut(&file).expect("matched file exists");
+            let data = self.files.get_mut(&*file).expect("matched file exists");
             let Some(record) = data.records.get(&key).cloned() else { continue };
             let mut updated = record.clone();
             updated.set(attr.to_owned(), value.clone());
@@ -315,7 +334,7 @@ impl Store {
         let mut records: Vec<(DbKey, Record)> = matches
             .into_iter()
             .map(|(file, key)| {
-                let rec = self.files[&file].records[&key].clone();
+                let rec = self.files[&*file].records[&key].clone();
                 (key, rec)
             })
             .collect();
@@ -377,7 +396,7 @@ impl Store {
         // Hash join on the common attribute pair.
         let mut by_value: HashMap<Value, Vec<(DbKey, Record)>> = HashMap::new();
         for (file, key) in right_matches {
-            let rec = self.files[&file].records[&key].clone();
+            let rec = self.files[&*file].records[&key].clone();
             let v = rec.get_or_null(right_attr).clone();
             if !v.is_null() {
                 by_value.entry(v).or_default().push((key, rec));
@@ -385,7 +404,7 @@ impl Store {
         }
         let mut out = Vec::new();
         for (file, key) in left_matches {
-            let lrec = &self.files[&file].records[&key];
+            let lrec = &self.files[&*file].records[&key];
             let v = lrec.get_or_null(left_attr);
             if let Some(partners) = by_value.get(v) {
                 for (rkey, rrec) in partners {
@@ -423,35 +442,31 @@ impl Store {
     // ----- query evaluation -----------------------------------------
 
     /// Evaluate a query to a set of (file, key) matches.
-    fn eval_query(&self, query: &Query) -> Result<(Vec<(String, DbKey)>, ExecStats)> {
+    fn eval_query(&self, query: &Query) -> Result<(Matches, ExecStats)> {
         let mut stats = ExecStats::default();
-        let mut seen: BTreeSet<(String, DbKey)> = BTreeSet::new();
+        let mut seen: BTreeSet<(Arc<str>, DbKey)> = BTreeSet::new();
         for conj in &query.disjuncts {
-            match conj.file() {
-                Some(file) => {
-                    let (keys, s) = self.eval_conjunction_in_file(file, conj);
-                    stats += s;
-                    seen.extend(keys.into_iter().map(|k| (file.to_owned(), k)));
-                }
-                None => {
-                    // No FILE predicate: scan every file.
-                    for (name, _) in self.files.iter() {
-                        let (keys, s) = self.eval_conjunction_in_file(name, conj);
-                        stats += s;
-                        seen.extend(keys.into_iter().map(|k| (name.clone(), k)));
-                    }
-                }
+            // A FILE predicate routes to one file; without one, every
+            // file is scanned.
+            let (routed, all) = match conj.file() {
+                Some(file) => (self.files.get(file), None),
+                None => (None, Some(self.files.values())),
+            };
+            for data in routed.into_iter().chain(all.into_iter().flatten()) {
+                let (keys, s) = self.eval_conjunction_in_file(data, conj);
+                stats += s;
+                seen.extend(keys.into_iter().map(|k| (Arc::clone(&data.name), k)));
             }
         }
         stats.records_matched = seen.len() as u64;
         Ok((seen.into_iter().collect(), stats))
     }
 
-    fn eval_query_in_file(&self, file: &str, query: &Query) -> (Vec<DbKey>, ExecStats) {
+    fn eval_query_in_file(&self, data: &FileData, query: &Query) -> (Vec<DbKey>, ExecStats) {
         let mut stats = ExecStats::default();
         let mut seen = BTreeSet::new();
         for conj in &query.disjuncts {
-            let (keys, s) = self.eval_conjunction_in_file(file, conj);
+            let (keys, s) = self.eval_conjunction_in_file(data, conj);
             stats += s;
             seen.extend(keys);
         }
@@ -460,11 +475,12 @@ impl Store {
 
     /// Evaluate one conjunction inside one file, using the directory
     /// index of the most selective usable predicate when enabled.
-    fn eval_conjunction_in_file(&self, file: &str, conj: &Conjunction) -> (Vec<DbKey>, ExecStats) {
+    fn eval_conjunction_in_file(
+        &self,
+        data: &FileData,
+        conj: &Conjunction,
+    ) -> (Vec<DbKey>, ExecStats) {
         let mut stats = ExecStats::default();
-        let Some(data) = self.files.get(file) else {
-            return (Vec::new(), stats);
-        };
         // Predicates other than the FILE-routing one.
         let rest: Vec<&Predicate> =
             conj.predicates.iter().filter(|p| p.attr != FILE_ATTR).collect();
@@ -500,7 +516,7 @@ impl Store {
         let out = if file_preds.is_empty() {
             candidates
         } else {
-            let fval = Value::str(file);
+            let fval = Value::str(&*data.name);
             if file_preds.iter().all(|p| p.op.eval(&fval, &p.value)) {
                 candidates
             } else {
@@ -535,9 +551,7 @@ fn best_index_probe(data: &FileData, rest: &[&Predicate]) -> Option<(usize, Vec<
     for (i, p) in rest.iter().enumerate() {
         let Some(by_value) = data.indexes.get(&p.attr) else { continue };
         let keys: Vec<DbKey> = match p.op {
-            RelOp::Eq => {
-                by_value.get(&p.value).map(|s| s.iter().copied().collect()).unwrap_or_default()
-            }
+            RelOp::Eq => by_value.get(&p.value).map(|s| s.iter().collect()).unwrap_or_default(),
             RelOp::Lt => range_keys(by_value, Bound::Unbounded, Bound::Excluded(&p.value)),
             RelOp::Le => range_keys(by_value, Bound::Unbounded, Bound::Included(&p.value)),
             RelOp::Gt => range_keys(by_value, Bound::Excluded(&p.value), Bound::Unbounded),
@@ -559,14 +573,14 @@ fn best_index_probe(data: &FileData, rest: &[&Predicate]) -> Option<(usize, Vec<
 }
 
 fn range_keys(
-    by_value: &BTreeMap<Value, BTreeSet<DbKey>>,
+    by_value: &BTreeMap<Value, Postings>,
     lo: Bound<&Value>,
     hi: Bound<&Value>,
 ) -> Vec<DbKey> {
     by_value
         .range::<Value, _>((lo, hi))
         .filter(|(v, _)| !v.is_null())
-        .flat_map(|(_, s)| s.iter().copied())
+        .flat_map(|(_, s)| s.iter())
         .collect()
 }
 

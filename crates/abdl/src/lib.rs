@@ -55,7 +55,7 @@ pub mod record;
 pub mod request;
 pub mod value;
 
-pub use engine::{ExecTotals, Kernel, KernelHealth, Response, Store};
+pub use engine::{ExecTotals, Kernel, KernelHealth, Postings, Response, Store};
 pub use error::{Error, Result};
 pub use query::{Conjunction, Predicate, Query, RelOp};
 pub use record::{DbKey, Keyword, Record};

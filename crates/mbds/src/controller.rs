@@ -26,11 +26,12 @@ use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
 use crate::placement::Partitioner;
 use crate::rebalance::{self, MoveJob, Rebalancer};
 use crate::sched::Footprint;
+use crate::unique::UniqueIndex;
 use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal, WalStats};
 use abdl::engine::aggregate;
 use abdl::{
-    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, RelOp, Request, Response, Result,
-    Store, Transaction, Value,
+    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Store,
+    Transaction,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::SocketAddr;
@@ -201,10 +202,9 @@ pub(crate) struct PromotedParts {
     pub(crate) partitioner: Partitioner,
     pub(crate) replication: usize,
     pub(crate) next_key: u64,
-    pub(crate) unique_groups: HashMap<String, Vec<Vec<String>>>,
+    pub(crate) uniques: UniqueIndex,
     pub(crate) files: Vec<String>,
     pub(crate) directory: Directory,
-    pub(crate) unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
     pub(crate) resident: HashMap<String, Vec<u64>>,
     pub(crate) dead: Vec<usize>,
     pub(crate) draining: BTreeSet<usize>,
@@ -235,10 +235,9 @@ pub struct Controller {
     /// standby attached before the restart still promotes onto the
     /// *current* channels.
     bus: Arc<Mutex<Vec<Sender<Envelope>>>>,
-    /// `DUPLICATES ARE NOT ALLOWED` groups are enforced *globally* by
-    /// the controller (a per-backend check would only see its own
-    /// partition).
-    unique_groups: HashMap<String, Vec<Vec<String>>>,
+    /// `DUPLICATES ARE NOT ALLOWED` groups and their exact value
+    /// index, enforced *globally* here (see [`UniqueIndex`]).
+    uniques: UniqueIndex,
     /// Files created so far, in creation order; replayed into restarted
     /// backends before re-replication.
     files: Vec<String>,
@@ -259,12 +258,6 @@ pub struct Controller {
     /// in-memory constructors, and during recovery replay — replayed
     /// operations must not be re-logged).
     wal: Option<Wal>,
-    /// Exact unique-value index: for each `DUPLICATES ARE NOT ALLOWED`
-    /// group of a file, the value tuple of every stored record → the
-    /// keys holding it. Every insert flows through the controller, so
-    /// this is authoritative and replaces the pre-insert broadcast
-    /// probe; it is rebuilt (incrementally) by snapshot + WAL replay.
-    unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
     /// Per-file, per-backend record counts derived from the directory —
     /// which backends can hold records of each file. Drives file-scoped
     /// routing; may over-count for records whose data was lost (safe:
@@ -416,7 +409,7 @@ impl Controller {
             epoch: 0,
             fence,
             bus,
-            unique_groups: HashMap::new(),
+            uniques: UniqueIndex::default(),
             files: Vec::new(),
             directory: Directory::new(),
             faults,
@@ -425,7 +418,6 @@ impl Controller {
             degraded_cache: false,
             degraded_dirty: false,
             wal: None,
-            unique_index: HashMap::new(),
             resident: HashMap::new(),
             scoped_routing: true,
             unique_via_index: true,
@@ -619,7 +611,7 @@ impl Controller {
             epoch,
             fence: link.fence,
             bus: link.bus,
-            unique_groups: parts.unique_groups,
+            uniques: parts.uniques,
             files: parts.files,
             directory: parts.directory,
             faults: link.faults,
@@ -628,7 +620,6 @@ impl Controller {
             degraded_cache: false,
             degraded_dirty: true,
             wal: Some(wal),
-            unique_index: parts.unique_index,
             resident: parts.resident,
             scoped_routing: true,
             unique_via_index: true,
@@ -956,85 +947,7 @@ impl Controller {
     /// recovery harness: a rebuilt controller must produce exactly the
     /// live controller's digest.
     pub fn unique_index_digest(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for ((file, gi), by_tuple) in &self.unique_index {
-            for (tuple, keys) in by_tuple {
-                let vals: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                let ks: Vec<String> = keys.iter().map(|k| k.0.to_string()).collect();
-                lines.push(format!("{file}#{gi} [{}] {}", vals.join(","), ks.join(",")));
-            }
-        }
-        lines.sort();
-        lines.join("\n")
-    }
-
-    /// The index tuple of `record` under a constraint group: one value
-    /// per attribute, NULL standing in for absent ones — exactly the
-    /// values an equality probe would compare against.
-    fn group_tuple(record: &Record, group: &[String]) -> Vec<Value> {
-        group.iter().map(|a| record.get_or_null(a).clone()).collect()
-    }
-
-    /// Index every constraint-group tuple of a newly stored record.
-    fn index_insert(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = Controller::group_tuple(record, group);
-            self.unique_index
-                .entry((file.clone(), gi))
-                .or_default()
-                .entry(tuple)
-                .or_default()
-                .insert(key);
-        }
-    }
-
-    /// Drop a deleted record's tuples from the index (tolerates missing
-    /// entries, so replay and live deletion are both safe).
-    fn index_remove(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = Controller::group_tuple(record, group);
-            if let Some(by_tuple) = self.unique_index.get_mut(&(file.clone(), gi)) {
-                if let Some(keys) = by_tuple.get_mut(&tuple) {
-                    keys.remove(&key);
-                    if keys.is_empty() {
-                        by_tuple.remove(&tuple);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move a record's tuples when an UPDATE changes a constraint-group
-    /// attribute. `record` is the pre-image; duplicates created this
-    /// way (the kernel does not re-check uniqueness on UPDATE) simply
-    /// list several keys under one tuple.
-    fn index_update(&mut self, key: DbKey, record: &Record, attr: &str, value: &Value) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file).cloned() else { return };
-        let mut updated = record.clone();
-        updated.set(attr.to_owned(), value.clone());
-        for (gi, group) in groups.iter().enumerate() {
-            if !group.iter().any(|a| a == attr) {
-                continue;
-            }
-            let old_t = Controller::group_tuple(record, group);
-            let new_t = Controller::group_tuple(&updated, group);
-            if old_t == new_t {
-                continue;
-            }
-            let by_tuple = self.unique_index.entry((file.clone(), gi)).or_default();
-            if let Some(keys) = by_tuple.get_mut(&old_t) {
-                keys.remove(&key);
-                if keys.is_empty() {
-                    by_tuple.remove(&old_t);
-                }
-            }
-            by_tuple.entry(new_t).or_default().insert(key);
-        }
+        self.uniques.digest()
     }
 
     /// Count a newly placed record against its group members' per-file
@@ -1061,15 +974,7 @@ impl Controller {
     /// usually declared before loading, so the backfill broadcast is
     /// rare). Shared by the live path and WAL replay.
     fn register_unique(&mut self, file: &str, attrs: Vec<String>) {
-        let groups = self.unique_groups.entry(file.to_owned()).or_default();
-        // Idempotent: re-registering an existing group (WAL replay of
-        // a doubly-logged constraint, a repeated `.spawn` seed) must
-        // not add a second copy for every insert to check.
-        if groups.contains(&attrs) {
-            return;
-        }
-        groups.push(attrs);
-        let gi = groups.len() - 1;
+        let Some(gi) = self.uniques.register(file, attrs) else { return };
         let populated =
             self.resident.get(file).is_some_and(|counts| counts.iter().any(|&c| c > 0));
         if !populated {
@@ -1080,15 +985,8 @@ impl Controller {
             abdl::Value::str(file),
         )]);
         if let Ok(resp) = self.broadcast(&Request::retrieve_all(query)) {
-            let group = self.unique_groups[file][gi].clone();
             for (key, rec) in resp.into_records() {
-                let tuple = Controller::group_tuple(&rec, &group);
-                self.unique_index
-                    .entry((file.to_owned(), gi))
-                    .or_default()
-                    .entry(tuple)
-                    .or_default()
-                    .insert(key);
+                self.uniques.backfill(file, gi, key, &rec);
             }
         }
     }
@@ -1175,7 +1073,8 @@ impl Controller {
             .collect();
         places.sort_by_key(|(k, _, _)| *k);
         let mut uniques: Vec<(String, Vec<String>)> = self
-            .unique_groups
+            .uniques
+            .groups()
             .iter()
             .flat_map(|(f, groups)| groups.iter().map(|g| (f.clone(), g.clone())))
             .collect();
@@ -1214,7 +1113,7 @@ impl Controller {
             self.partitioner.set_rotor(file, *v);
         }
         for (file, attrs) in &snap.uniques {
-            self.unique_groups.entry(file.clone()).or_default().push(attrs.clone());
+            self.uniques.register(file, attrs.clone());
         }
         let dead: HashSet<usize> = snap.dead.iter().copied().collect();
         for (key, group, record) in &snap.places {
@@ -1227,7 +1126,7 @@ impl Controller {
             if let Some(file) = record.file().map(str::to_owned) {
                 self.resident_add(&file, group);
             }
-            self.index_insert(DbKey(*key), record);
+            self.uniques.insert(DbKey(*key), record);
             for &i in group {
                 if dead.contains(&i) {
                     continue;
@@ -1270,7 +1169,7 @@ impl Controller {
                     self.resident_add(&file, group);
                 }
                 self.directory.insert(DbKey(*key), group.clone());
-                self.index_insert(DbKey(*key), record);
+                self.uniques.insert(DbKey(*key), record);
                 for &i in group {
                     if self.health.is_serving(i) {
                         self.load_replica(i, DbKey(*key), record)?;
@@ -2440,7 +2339,7 @@ impl Controller {
         let mut targets = BTreeSet::new();
         for conj in &query.disjuncts {
             let file = conj.file()?;
-            if let Some(keys) = self.unique_candidates(file, conj) {
+            if let Some(keys) = self.uniques.candidates(file, conj) {
                 for k in keys {
                     if let Some(group) = self.directory.get(&k) {
                         targets.extend(group.iter().copied());
@@ -2454,37 +2353,6 @@ impl Controller {
             // A file nobody holds contributes no targets.
         }
         Some(targets.into_iter().collect())
-    }
-
-    /// Key-scoped fast path: when a conjunction pins every attribute of
-    /// some `DUPLICATES ARE NOT ALLOWED` group with an equality
-    /// predicate, the unique index names the only keys that can match
-    /// (further predicates can only narrow the answer, never widen it).
-    fn unique_candidates(&self, file: &str, conj: &abdl::Conjunction) -> Option<Vec<DbKey>> {
-        let groups = self.unique_groups.get(file)?;
-        for (gi, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let tuple: Option<Vec<Value>> = group
-                .iter()
-                .map(|a| {
-                    conj.predicates
-                        .iter()
-                        .find(|p| p.attr == *a && p.op == RelOp::Eq)
-                        .map(|p| p.value.clone())
-                })
-                .collect();
-            let Some(tuple) = tuple else { continue };
-            let keys = self
-                .unique_index
-                .get(&(file.to_owned(), gi))
-                .and_then(|m| m.get(&tuple))
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            return Some(keys);
-        }
-        None
     }
 
     /// Attach health metadata to an outgoing response.
@@ -2527,44 +2395,22 @@ impl Controller {
         let Some(file) = record.file() else {
             return Err(Error::MissingFileKeyword);
         };
-        let Some(groups) = self.unique_groups.get(file).cloned() else { return Ok(()) };
         if self.unique_via_index {
             // Every insert flows through this controller, so the index
             // is exact: one map lookup replaces a full-cluster retrieve
             // probe (and, unlike the probe, still sees records whose
             // replicas are all currently down).
-            let file = file.to_owned();
-            for (gi, group) in groups.iter().enumerate() {
-                if !group.iter().all(|a| record.get(a).is_some()) {
-                    continue;
+            return match self.uniques.conflict(record) {
+                Some(group) => {
+                    Err(Error::DuplicateKey { file: file.to_owned(), attrs: group.to_vec() })
                 }
-                let tuple = Controller::group_tuple(record, group);
-                let hit = self
-                    .unique_index
-                    .get(&(file.clone(), gi))
-                    .and_then(|m| m.get(&tuple))
-                    .is_some_and(|keys| !keys.is_empty());
-                if hit {
-                    return Err(Error::DuplicateKey { file, attrs: group.clone() });
-                }
-            }
-            return Ok(());
+                None => Ok(()),
+            };
         }
         // Legacy pre-insert broadcast probe (the E15 ablation baseline).
-        for group in groups {
-            if !group.iter().all(|a| record.get(a).is_some()) {
-                continue;
-            }
-            let query = abdl::Query::conjunction(
-                std::iter::once(abdl::Predicate::eq(abdl::FILE_ATTR, abdl::Value::str(file)))
-                    .chain(group.iter().map(|a| {
-                        abdl::Predicate::eq(a.clone(), record.get(a).expect("present").clone())
-                    }))
-                    .collect(),
-            );
-            let hits = self.broadcast(&Request::retrieve_all(query))?;
-            if !hits.records().is_empty() {
-                return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group.clone() });
+        for (group, query) in self.uniques.probes(record) {
+            if !self.broadcast(&Request::retrieve_all(query))?.records().is_empty() {
+                return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group });
             }
         }
         Ok(())
@@ -2641,7 +2487,7 @@ impl Controller {
         }
         self.directory.insert(key, assigned.clone());
         self.resident_add(&file, &assigned);
-        self.index_insert(key, record);
+        self.uniques.insert(key, record);
         self.log_append(LogRecord::Insert { key: key.0, group: assigned, record: record.clone() })?;
         Ok(Response::with_affected(1, Default::default()))
     }
@@ -2857,7 +2703,7 @@ impl Controller {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for conj in &query.disjuncts {
             let file = conj.file()?;
-            for key in self.unique_candidates(file, conj)? {
+            for key in self.uniques.candidates(file, conj)? {
                 groups.push(self.directory.get(&key)?.to_vec());
             }
         }
@@ -2983,7 +2829,7 @@ impl Controller {
         }
         self.directory.insert(s.key, s.assigned.clone());
         self.resident_add(&s.file, &s.assigned);
-        self.index_insert(s.key, record);
+        self.uniques.insert(s.key, record);
         self.log_append(LogRecord::Insert {
             key: s.key.0,
             group: s.assigned,
@@ -3113,7 +2959,7 @@ impl Kernel for Controller {
                 if !flyable {
                     break;
                 }
-                let fp = Footprint::of(&requests[j], &self.unique_groups);
+                let fp = Footprint::of(&requests[j], self.uniques.groups());
                 // A broadcast *write* cannot be staged at all; a
                 // broadcast read can ride a read-only flight (read
                 // pairs always commute; any write next to it is a
@@ -3228,7 +3074,7 @@ impl Controller {
                             self.resident_remove(&file, &group);
                         }
                     }
-                    self.index_remove(*k, rec);
+                    self.uniques.remove(*k, rec);
                 }
                 self.degraded_dirty = true;
                 self.log_append(LogRecord::Exec { request: request.clone() })?;
@@ -3240,7 +3086,7 @@ impl Controller {
                 let matched = self.matching_records(query, targets.as_deref())?;
                 let resp = self.send_round(request, targets.as_deref())?;
                 for (k, rec) in &matched {
-                    self.index_update(*k, rec, &modifier.attr, &modifier.value);
+                    self.uniques.update(*k, rec, &modifier.attr, &modifier.value);
                 }
                 self.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);

@@ -93,6 +93,7 @@ pub mod rebalance;
 pub mod sched;
 mod sim;
 pub mod standby;
+mod unique;
 pub mod wal;
 
 pub use controller::{Controller, DEFAULT_REPLICATION};

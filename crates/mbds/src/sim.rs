@@ -38,13 +38,14 @@ use crate::directory::Directory;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::placement::Partitioner;
 use crate::rebalance::{self, MoveJob, Rebalancer};
+use crate::unique::UniqueIndex;
 use crate::wal::{LogRecord, LogStore, SnapshotData, Wal, WalStats};
 use abdl::engine::aggregate;
 use abdl::{
-    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, RelOp, Request, Response, Result,
-    Store, Transaction, Value,
+    DbKey, Error, ExecTotals, Kernel, KernelHealth, Record, Request, Response, Result, Store,
+    Transaction,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Cost-model parameters (microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +76,9 @@ pub struct SimCluster {
     replication: usize,
     next_key: u64,
     cost: CostModel,
-    unique_groups: HashMap<String, Vec<Vec<String>>>,
+    /// Constraint groups and their exact value index — the same
+    /// [`UniqueIndex`] the threaded controller keeps.
+    uniques: UniqueIndex,
     files: Vec<String>,
     /// Which backends hold each record, with interned replica sets
     /// (same [`Directory`] structure as the threaded controller).
@@ -98,9 +101,6 @@ pub struct SimCluster {
     /// Log failures from infallible trait methods, surfaced by the next
     /// `execute` (same convention as the threaded controller).
     pending_error: Option<Error>,
-    /// Exact mirror of the threaded controller's unique-value index:
-    /// `(file, group-index) → tuple of group values → keys`.
-    unique_index: HashMap<(String, usize), BTreeMap<Vec<Value>, BTreeSet<DbKey>>>,
     /// Per-file, per-backend resident-record counts (directory-derived,
     /// liveness-independent), driving file-scoped routing.
     resident: HashMap<String, Vec<u64>>,
@@ -162,7 +162,7 @@ impl SimCluster {
             replication: k,
             next_key: 1,
             cost,
-            unique_groups: HashMap::new(),
+            uniques: UniqueIndex::default(),
             files: Vec::new(),
             directory: Directory::new(),
             faults: FaultPlan::new(),
@@ -172,7 +172,6 @@ impl SimCluster {
             requests_executed: 0,
             wal: None,
             pending_error: None,
-            unique_index: HashMap::new(),
             resident: HashMap::new(),
             scoped_routing: true,
             unique_via_index: true,
@@ -311,82 +310,7 @@ impl SimCluster {
     /// format as `Controller::unique_index_digest`, so the two kernels
     /// (and a recovered cluster) can be compared byte-for-byte.
     pub fn unique_index_digest(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for ((file, gi), by_tuple) in &self.unique_index {
-            for (tuple, keys) in by_tuple {
-                let vals: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                let ks: Vec<String> = keys.iter().map(|k| k.0.to_string()).collect();
-                lines.push(format!("{file}#{gi} [{}] {}", vals.join(","), ks.join(",")));
-            }
-        }
-        lines.sort();
-        lines.join("\n")
-    }
-
-    /// The index tuple of `record` under a constraint group: one value
-    /// per attribute, NULL standing in for absent ones.
-    fn group_tuple(record: &Record, group: &[String]) -> Vec<Value> {
-        group.iter().map(|a| record.get_or_null(a).clone()).collect()
-    }
-
-    /// Index every constraint-group tuple of a newly stored record.
-    fn index_insert(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = SimCluster::group_tuple(record, group);
-            self.unique_index
-                .entry((file.clone(), gi))
-                .or_default()
-                .entry(tuple)
-                .or_default()
-                .insert(key);
-        }
-    }
-
-    /// Drop a deleted record's tuples from the index (tolerates missing
-    /// entries).
-    fn index_remove(&mut self, key: DbKey, record: &Record) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file) else { return };
-        for (gi, group) in groups.iter().enumerate() {
-            let tuple = SimCluster::group_tuple(record, group);
-            if let Some(by_tuple) = self.unique_index.get_mut(&(file.clone(), gi)) {
-                if let Some(keys) = by_tuple.get_mut(&tuple) {
-                    keys.remove(&key);
-                    if keys.is_empty() {
-                        by_tuple.remove(&tuple);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move a record's tuples when an UPDATE changes a constraint-group
-    /// attribute. `record` is the pre-image.
-    fn index_update(&mut self, key: DbKey, record: &Record, attr: &str, value: &Value) {
-        let Some(file) = record.file().map(str::to_owned) else { return };
-        let Some(groups) = self.unique_groups.get(&file).cloned() else { return };
-        let mut updated = record.clone();
-        updated.set(attr.to_owned(), value.clone());
-        for (gi, group) in groups.iter().enumerate() {
-            if !group.iter().any(|a| a == attr) {
-                continue;
-            }
-            let old_t = SimCluster::group_tuple(record, group);
-            let new_t = SimCluster::group_tuple(&updated, group);
-            if old_t == new_t {
-                continue;
-            }
-            let by_tuple = self.unique_index.entry((file.clone(), gi)).or_default();
-            if let Some(keys) = by_tuple.get_mut(&old_t) {
-                keys.remove(&key);
-                if keys.is_empty() {
-                    by_tuple.remove(&old_t);
-                }
-            }
-            by_tuple.entry(new_t).or_default().insert(key);
-        }
+        self.uniques.digest()
     }
 
     /// Count a newly placed record against its group members' per-file
@@ -412,13 +336,7 @@ impl SimCluster {
     /// records when the file already holds data. Shared by the live
     /// path and WAL replay (same gate as the threaded controller).
     fn register_unique(&mut self, file: &str, attrs: Vec<String>) {
-        let groups = self.unique_groups.entry(file.to_owned()).or_default();
-        // Idempotent, mirroring the threaded controller.
-        if groups.contains(&attrs) {
-            return;
-        }
-        groups.push(attrs);
-        let gi = groups.len() - 1;
+        let Some(gi) = self.uniques.register(file, attrs) else { return };
         let populated =
             self.resident.get(file).is_some_and(|counts| counts.iter().any(|&c| c > 0));
         if !populated {
@@ -429,15 +347,8 @@ impl SimCluster {
             abdl::Value::str(file),
         )]);
         if let Ok(resp) = self.broadcast(&Request::retrieve_all(query)) {
-            let group = self.unique_groups[file][gi].clone();
             for (key, rec) in resp.into_records() {
-                let tuple = SimCluster::group_tuple(&rec, &group);
-                self.unique_index
-                    .entry((file.to_owned(), gi))
-                    .or_default()
-                    .entry(tuple)
-                    .or_default()
-                    .insert(key);
+                self.uniques.backfill(file, gi, key, &rec);
             }
         }
     }
@@ -506,7 +417,8 @@ impl SimCluster {
             .collect();
         places.sort_by_key(|(k, _, _)| *k);
         let mut uniques: Vec<(String, Vec<String>)> = self
-            .unique_groups
+            .uniques
+            .groups()
             .iter()
             .flat_map(|(f, groups)| groups.iter().map(|g| (f.clone(), g.clone())))
             .collect();
@@ -539,10 +451,9 @@ impl SimCluster {
             partitioner: self.partitioner.clone(),
             replication: self.replication,
             next_key: self.next_key,
-            unique_groups: self.unique_groups.clone(),
+            uniques: self.uniques.clone(),
             files: self.files.clone(),
             directory: self.directory.clone(),
-            unique_index: self.unique_index.clone(),
             resident: self.resident.clone(),
             dead: (0..self.alive.len()).filter(|&i| !self.alive[i]).collect(),
             draining: self.draining.clone(),
@@ -565,7 +476,7 @@ impl SimCluster {
             self.partitioner.set_rotor(file, *v);
         }
         for (file, attrs) in &snap.uniques {
-            self.unique_groups.entry(file.clone()).or_default().push(attrs.clone());
+            self.uniques.register(file, attrs.clone());
         }
         let dead: HashSet<usize> = snap.dead.iter().copied().collect();
         for (key, group, record) in &snap.places {
@@ -576,7 +487,7 @@ impl SimCluster {
             if let Some(file) = record.file().map(str::to_owned) {
                 self.resident_add(&file, group);
             }
-            self.index_insert(DbKey(*key), record);
+            self.uniques.insert(DbKey(*key), record);
             for &i in group {
                 if !dead.contains(&i) {
                     self.backends[i].insert_with_key(DbKey(*key), record.clone())?;
@@ -618,7 +529,7 @@ impl SimCluster {
                     self.resident_add(&file, group);
                 }
                 self.directory.insert(DbKey(*key), group.clone());
-                self.index_insert(DbKey(*key), record);
+                self.uniques.insert(DbKey(*key), record);
                 for &i in group {
                     if self.alive[i] {
                         self.backends[i].insert_with_key(DbKey(*key), record.clone())?;
@@ -893,7 +804,7 @@ impl SimCluster {
         let mut targets = BTreeSet::new();
         for conj in &query.disjuncts {
             let file = conj.file()?;
-            if let Some(keys) = self.unique_candidates(file, conj) {
+            if let Some(keys) = self.uniques.candidates(file, conj) {
                 for k in keys {
                     if let Some(group) = self.directory.get(&k) {
                         targets.extend(group.iter().copied());
@@ -907,36 +818,6 @@ impl SimCluster {
             // A file nobody holds contributes no targets.
         }
         Some(targets.into_iter().collect())
-    }
-
-    /// Key-scoped fast path: a conjunction pinning every attribute of a
-    /// unique group with equality predicates can only match the keys
-    /// the index lists for that tuple.
-    fn unique_candidates(&self, file: &str, conj: &abdl::Conjunction) -> Option<Vec<DbKey>> {
-        let groups = self.unique_groups.get(file)?;
-        for (gi, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let tuple: Option<Vec<Value>> = group
-                .iter()
-                .map(|a| {
-                    conj.predicates
-                        .iter()
-                        .find(|p| p.attr == *a && p.op == RelOp::Eq)
-                        .map(|p| p.value.clone())
-                })
-                .collect();
-            let Some(tuple) = tuple else { continue };
-            let keys = self
-                .unique_index
-                .get(&(file.to_owned(), gi))
-                .and_then(|m| m.get(&tuple))
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            return Some(keys);
-        }
-        None
     }
 
     fn finalize(&self, mut resp: Response) -> Response {
@@ -962,41 +843,19 @@ impl SimCluster {
         let Some(file) = record.file() else {
             return Err(Error::MissingFileKeyword);
         };
-        let Some(groups) = self.unique_groups.get(file).cloned() else { return Ok(()) };
         if self.unique_via_index {
             // One map lookup replaces the full-cluster retrieve probe,
             // same as the threaded controller.
-            let file = file.to_owned();
-            for (gi, group) in groups.iter().enumerate() {
-                if !group.iter().all(|a| record.get(a).is_some()) {
-                    continue;
+            return match self.uniques.conflict(record) {
+                Some(group) => {
+                    Err(Error::DuplicateKey { file: file.to_owned(), attrs: group.to_vec() })
                 }
-                let tuple = SimCluster::group_tuple(record, group);
-                let hit = self
-                    .unique_index
-                    .get(&(file.clone(), gi))
-                    .and_then(|m| m.get(&tuple))
-                    .is_some_and(|keys| !keys.is_empty());
-                if hit {
-                    return Err(Error::DuplicateKey { file, attrs: group.clone() });
-                }
-            }
-            return Ok(());
+                None => Ok(()),
+            };
         }
         // Legacy pre-insert broadcast probe (the E15 ablation baseline).
-        for group in groups {
-            if !group.iter().all(|a| record.get(a).is_some()) {
-                continue;
-            }
-            let query = abdl::Query::conjunction(
-                std::iter::once(abdl::Predicate::eq(abdl::FILE_ATTR, abdl::Value::str(file)))
-                    .chain(group.iter().map(|a| {
-                        abdl::Predicate::eq(a.clone(), record.get(a).expect("present").clone())
-                    }))
-                    .collect(),
-            );
-            let hits = self.broadcast(&Request::retrieve_all(query))?;
-            if !hits.records().is_empty() {
+        for (group, query) in self.uniques.probes(record) {
+            if !self.broadcast(&Request::retrieve_all(query))?.records().is_empty() {
                 return Err(Error::DuplicateKey { file: file.to_owned(), attrs: group });
             }
         }
@@ -1072,7 +931,7 @@ impl SimCluster {
         }
         self.directory.insert(key, assigned.clone());
         self.resident_add(&file, &assigned);
-        self.index_insert(key, record);
+        self.uniques.insert(key, record);
         self.log_append(LogRecord::Insert { key: key.0, group: assigned, record: record.clone() })?;
         self.charge(&busy);
         Ok(Response::with_affected(1, Default::default()))
@@ -1518,7 +1377,7 @@ impl Kernel for SimCluster {
                 if !flyable {
                     break;
                 }
-                let fp = crate::sched::Footprint::of(&requests[j], &self.unique_groups);
+                let fp = crate::sched::Footprint::of(&requests[j], self.uniques.groups());
                 if fp.broadcast && fp.write {
                     break;
                 }
@@ -1609,7 +1468,7 @@ impl SimCluster {
                             self.resident_remove(&file, &group);
                         }
                     }
-                    self.index_remove(*k, rec);
+                    self.uniques.remove(*k, rec);
                 }
                 self.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);
@@ -1620,7 +1479,7 @@ impl SimCluster {
                 let matched = self.matching_records(query, targets.as_deref())?;
                 let resp = self.send_round(request, targets.as_deref())?;
                 for (k, rec) in &matched {
-                    self.index_update(*k, rec, &modifier.attr, &modifier.value);
+                    self.uniques.update(*k, rec, &modifier.attr, &modifier.value);
                 }
                 self.log_append(LogRecord::Exec { request: request.clone() })?;
                 let out = Response::with_affected(matched.len(), resp.stats);

@@ -744,26 +744,20 @@ impl FileLog {
 
 impl LogStore for FileLog {
     fn append_line(&mut self, line: &str) -> Result<()> {
-        let path = self.wal_path();
-        if self.appender.is_none() {
-            let f = fs::OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&path)
-                .map_err(|e| io_err("open", &path, e))?;
-            self.appender = Some(f);
-        }
-        let f = self.appender.as_mut().expect("appender");
-        writeln!(f, "{line}").map_err(|e| io_err("append", &path, e))?;
-        f.sync_data().map_err(|e| io_err("sync", &path, e))?;
-        Ok(())
+        self.append_lines(&[line.to_owned()])
     }
 
     fn append_lines(&mut self, lines: &[String]) -> Result<()> {
         if lines.is_empty() {
             return Ok(());
         }
-        // Group commit: write every line, then pay for one sync.
+        // Group commit: the whole batch goes out in one write, then
+        // pays for one sync.
+        let mut buf = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            buf.push_str(line);
+            buf.push('\n');
+        }
         let path = self.wal_path();
         if self.appender.is_none() {
             let f = fs::OpenOptions::new()
@@ -774,9 +768,7 @@ impl LogStore for FileLog {
             self.appender = Some(f);
         }
         let f = self.appender.as_mut().expect("appender");
-        for line in lines {
-            writeln!(f, "{line}").map_err(|e| io_err("append", &path, e))?;
-        }
+        f.write_all(buf.as_bytes()).map_err(|e| io_err("append", &path, e))?;
         f.sync_data().map_err(|e| io_err("sync", &path, e))?;
         Ok(())
     }

@@ -2,9 +2,16 @@
 //! loop, exercised end-to-end as a process.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run_shell(script: &str) -> (String, String) {
-    let dir = std::env::temp_dir().join(format!("mlds-shell-test-{}", std::process::id()));
+    // One directory per call: tests run on parallel threads of one
+    // process, so the pid alone would let one test's cleanup delete
+    // another's script.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("mlds-shell-test-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("script.mlds");
     std::fs::write(&path, script).unwrap();
