@@ -9,7 +9,7 @@ use crate::record::{DbKey, Record};
 use crate::request::{Aggregate, Request, Target, TargetList, Transaction};
 use crate::value::Value;
 use crate::FILE_ATTR;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -21,20 +21,18 @@ struct FileData {
     /// Records keyed by database key (ordered: insertion order is key
     /// order, which makes FIND FIRST/NEXT navigation deterministic).
     records: BTreeMap<DbKey, Record>,
-    /// Directory: per-attribute value index. `FILE` is not indexed —
-    /// every record of this `FileData` has the same `FILE` value.
-    indexes: HashMap<String, BTreeMap<Value, Postings>>,
+    /// Directory: per-attribute value index, keyed by the store's
+    /// interned names. `FILE` is not indexed — every record of this
+    /// `FileData` has the same `FILE` value.
+    indexes: HashMap<Arc<str>, BTreeMap<Value, Postings>>,
     /// `DUPLICATES ARE NOT ALLOWED` attribute groups.
     unique_groups: Vec<Vec<String>>,
 }
 
 impl FileData {
     fn index_insert(&mut self, key: DbKey, record: &Record) {
-        for kw in record.keywords().iter().filter(|kw| kw.attr != FILE_ATTR) {
-            let by_value = match self.indexes.get_mut(&kw.attr) {
-                Some(by_value) => by_value,
-                None => self.indexes.entry(kw.attr.clone()).or_default(),
-            };
+        for kw in record.keywords().iter().filter(|kw| &*kw.attr != FILE_ATTR) {
+            let by_value = self.indexes.entry(Arc::clone(&kw.attr)).or_default();
             post(by_value, kw.value.clone(), key);
         }
     }
@@ -46,6 +44,18 @@ impl FileData {
             }
         }
     }
+}
+
+/// The store's one copy of the attribute name `name`, added on first
+/// sight. Names stay for the store's lifetime: one per distinct name
+/// ever stored or updated, which the schemas bound.
+fn intern(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
+    if let Some(shared) = names.get(name) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(name);
+    names.insert(Arc::clone(&shared));
+    shared
 }
 
 /// A query's matches: the file and key of each matching record.
@@ -70,6 +80,9 @@ fn file_entry<'a>(files: &'a mut BTreeMap<String, FileData>, name: &str) -> &'a 
 #[derive(Debug, Default, Clone)]
 pub struct Store {
     files: BTreeMap<String, FileData>,
+    /// Intern table: every stored keyword's attribute name points at
+    /// its one entry here.
+    names: HashSet<Arc<str>>,
     /// Which file each stored key lives in, so point lookups by key
     /// need not scan every file. The names are the files' own interned
     /// ones, shared rather than copied per key.
@@ -85,6 +98,7 @@ impl Store {
     pub fn new() -> Self {
         Store {
             files: BTreeMap::new(),
+            names: HashSet::new(),
             key_files: HashMap::new(),
             next_key: 1,
             indexing: true,
@@ -175,9 +189,17 @@ impl Store {
     }
 
     /// File, index and key→file bookkeeping shared by every insert.
-    fn store_record(&mut self, key: DbKey, record: Record) -> Result<()> {
+    /// Interns the record in place: each attribute name becomes the
+    /// store's shared copy, and the `FILE` value the file's own name.
+    fn store_record(&mut self, key: DbKey, mut record: Record) -> Result<()> {
         let file = record.file().ok_or(Error::MissingFileKeyword)?;
         let data = file_entry(&mut self.files, file);
+        for kw in record.keywords_mut() {
+            if &*kw.attr == FILE_ATTR && kw.value.as_str() == Some(&*data.name) {
+                kw.value = Value::Str(Arc::clone(&data.name));
+            }
+            kw.attr = intern(&mut self.names, &kw.attr);
+        }
         self.key_files.insert(key, Arc::clone(&data.name));
         if self.indexing {
             data.index_insert(key, &record);
@@ -302,19 +324,25 @@ impl Store {
 
     // ----- UPDATE ---------------------------------------------------
 
+    /// Updates each matched record in place; only the modified
+    /// attribute's directory entry moves.
     fn exec_update(&mut self, query: &Query, attr: &str, value: &Value) -> Result<Response> {
         let (matches, mut stats) = self.eval_query(query)?;
+        let attr = intern(&mut self.names, attr);
+        let indexed = self.indexing && &*attr != FILE_ATTR;
         let mut affected = 0usize;
         for (file, key) in matches {
             let data = self.files.get_mut(&*file).expect("matched file exists");
-            let Some(record) = data.records.get(&key).cloned() else { continue };
-            let mut updated = record.clone();
-            updated.set(attr.to_owned(), value.clone());
-            if self.indexing {
-                data.index_remove(key, &record);
-                data.index_insert(key, &updated);
+            let Some(record) = data.records.get_mut(&key) else { continue };
+            let old = record.get(&attr).cloned();
+            record.set(Arc::clone(&attr), value.clone());
+            if indexed {
+                let by_value = data.indexes.entry(Arc::clone(&attr)).or_default();
+                if let Some(old) = &old {
+                    unpost(by_value, old, key);
+                }
+                post(by_value, value.clone(), key);
             }
-            data.records.insert(key, updated);
             affected += 1;
         }
         stats.records_written += affected as u64;
@@ -549,7 +577,7 @@ impl Store {
 fn best_index_probe(data: &FileData, rest: &[&Predicate]) -> Option<(usize, Vec<DbKey>)> {
     let mut best: Option<(usize, Vec<DbKey>)> = None;
     for (i, p) in rest.iter().enumerate() {
-        let Some(by_value) = data.indexes.get(&p.attr) else { continue };
+        let Some(by_value) = data.indexes.get(p.attr.as_str()) else { continue };
         let keys: Vec<DbKey> = match p.op {
             RelOp::Eq => by_value.get(&p.value).map(|s| s.iter().collect()).unwrap_or_default(),
             RelOp::Lt => range_keys(by_value, Bound::Unbounded, Bound::Excluded(&p.value)),
@@ -883,6 +911,41 @@ mod tests {
         run(&mut s, "INSERT (<FILE, b>, <b, 1>, <x, 7>)");
         let r = run(&mut s, "RETRIEVE (x = 7) (*)");
         assert_eq!(r.records().len(), 2);
+    }
+
+    /// Every stored name points at the store's one copy: attribute
+    /// names at the intern table's, `FILE` values at their file's. Holds
+    /// for each insert path and UPDATE, with and without indexing.
+    #[test]
+    fn stored_names_share_one_allocation() {
+        for indexing in [true, false] {
+            let mut s = Store::with_indexing(indexing);
+            run(&mut s, "INSERT (<FILE, f>, <f, 1>, <title, 'a'>)");
+            s.insert_with_key(
+                DbKey(100),
+                Record::from_pairs([("FILE", Value::str("f")), ("f", Value::Int(2))])
+                    .with("title", "b"),
+            )
+            .unwrap();
+            run(&mut s, "INSERT (<FILE, g>, <g, 3>)");
+            run(&mut s, "UPDATE (FILE = f) (grade = 'A')");
+            run(&mut s, "UPDATE (FILE = g) (grade = 'B')");
+
+            let recs: Vec<&Record> = s.iter_records().map(|(_, r)| r).collect();
+            assert_eq!(recs.len(), 3);
+            let attr = |r: &Record, name: &str| {
+                Arc::clone(&r.keywords().iter().find(|kw| &*kw.attr == name).unwrap().attr)
+            };
+            for name in ["FILE", "grade"] {
+                let first = attr(recs[0], name);
+                assert!(recs.iter().all(|r| Arc::ptr_eq(&attr(r, name), &first)), "{name}");
+            }
+            assert!(Arc::ptr_eq(&attr(recs[0], "title"), &attr(recs[1], "title")));
+            for (key, r) in s.iter_records() {
+                let Some(Value::Str(file)) = r.get(FILE_ATTR) else { panic!("no FILE") };
+                assert!(Arc::ptr_eq(file, &s.files[&**file].name), "FILE of {key}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! opener) *and* a relational operator; the parser disambiguates by
 //! context, so the lexer emits `Lt`/`Le` and the parser treats `Lt`
 //! as an angle bracket inside INSERT keyword lists.
+//!
+//! Text is UTF-8 throughout: string literals, record bodies and
+//! identifiers keep their characters. The helpers [`quoted`],
+//! [`is_word_start`], [`word_end`] and [`char_at`] are shared with the
+//! SQL, DL/I, CODASYL and Daplex lexers so that every language reads
+//! text alike.
 
 use crate::error::{Error, Result};
 
@@ -57,8 +63,43 @@ pub struct Token {
     pub offset: usize,
 }
 
+/// True when `c` may start an identifier: `_` or any alphabetic char.
+pub fn is_word_start(c: char) -> bool {
+    c == '_' || c.is_alphabetic()
+}
+
+/// The byte offset just past the identifier (`_` and alphanumeric
+/// chars) starting at byte `start`.
+pub fn word_end(src: &str, start: usize) -> usize {
+    src[start..].find(|c: char| c != '_' && !c.is_alphanumeric()).map_or(src.len(), |n| start + n)
+}
+
+/// The single-quoted literal whose opening quote is at byte `open`,
+/// with `''` escapes resolved, and the byte offset just past its
+/// closing quote. `None` when the literal is unterminated.
+pub fn quoted(src: &str, open: usize) -> Option<(String, usize)> {
+    let mut text = String::new();
+    let mut pos = open + 1;
+    loop {
+        let close = pos + src[pos..].find('\'')?;
+        text.push_str(&src[pos..close]);
+        if src[close + 1..].starts_with('\'') {
+            text.push('\'');
+            pos = close + 2;
+        } else {
+            return Some((text, close + 1));
+        }
+    }
+}
+
+/// The character at byte `pos`, a char boundary (for error messages).
+pub fn char_at(src: &str, pos: usize) -> char {
+    src[pos..].chars().next().unwrap_or(' ')
+}
+
 /// The ABDL tokenizer.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -66,7 +107,7 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0 }
+        Lexer { text: src, src: src.as_bytes(), pos: 0 }
     }
 
     /// Tokenize the whole input (trailing [`TokenKind::Eof`] included).
@@ -155,44 +196,30 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'\'' => {
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some(b'\'') => {
-                            if self.peek() == Some(b'\'') {
-                                self.pos += 1;
-                                s.push('\'');
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(c) => s.push(c as char),
-                        None => return Err(self.err("unterminated string literal", offset)),
-                    }
-                }
-                TokenKind::Str(decode_utf8_lossy(&s))
+                let (s, end) = quoted(self.text, offset)
+                    .ok_or_else(|| self.err("unterminated string literal", offset))?;
+                self.pos = end;
+                TokenKind::Str(s)
             }
             b'{' => {
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some(b'}') => break,
-                        Some(c) => s.push(c as char),
-                        None => return Err(self.err("unterminated record body", offset)),
-                    }
-                }
-                TokenKind::Body(decode_utf8_lossy(&s))
+                let len = self.text[self.pos..]
+                    .find('}')
+                    .ok_or_else(|| self.err("unterminated record body", offset))?;
+                let body = self.text[self.pos..self.pos + len].to_owned();
+                self.pos += len + 1;
+                TokenKind::Body(body)
             }
             b'-' | b'+' | b'0'..=b'9' => {
                 self.pos = offset;
                 self.lex_number(offset)?
             }
-            c if c == b'_' || (c as char).is_alphabetic() => {
+            _ if self.text[offset..].starts_with(is_word_start) => {
                 self.pos = offset;
                 self.lex_ident()
             }
-            other => {
-                return Err(self.err(format!("unexpected character `{}`", other as char), offset))
+            _ => {
+                let c = char_at(self.text, offset);
+                return Err(self.err(format!("unexpected character `{c}`"), offset));
             }
         };
         Ok(Token { kind, offset })
@@ -259,22 +286,13 @@ impl<'a> Lexer<'a> {
 
     fn lex_ident(&mut self) -> TokenKind {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == b'_' || c == b'-' || (c as char).is_alphanumeric() {
-                // `-` inside identifiers supports `RETRIEVE-COMMON`.
-                self.pos += 1;
-            } else {
-                break;
-            }
+        self.pos = word_end(self.text, start);
+        // `-` inside identifiers supports `RETRIEVE-COMMON`.
+        while self.text[self.pos..].starts_with('-') {
+            self.pos = word_end(self.text, self.pos + 1);
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        TokenKind::Ident(text)
+        TokenKind::Ident(self.text[start..self.pos].to_owned())
     }
-}
-
-fn decode_utf8_lossy(s: &str) -> String {
-    // Bytes were pushed as chars already; normalize to owned string.
-    s.to_owned()
 }
 
 #[cfg(test)]
@@ -348,6 +366,22 @@ mod tests {
             kinds("a -- a comment\n b"),
             vec![TokenKind::Ident("a".into()), TokenKind::Ident("b".into()), TokenKind::Eof]
         );
+    }
+
+    #[test]
+    fn keeps_utf8_text() {
+        assert_eq!(
+            kinds("José 'José' 'a''é' {café ☃}"),
+            vec![
+                TokenKind::Ident("José".into()),
+                TokenKind::Str("José".into()),
+                TokenKind::Str("a'é".into()),
+                TokenKind::Body("café ☃".into()),
+                TokenKind::Eof,
+            ]
+        );
+        let err = Lexer::new("☃").tokenize().unwrap_err().to_string();
+        assert!(err.contains('☃'), "{err}");
     }
 
     #[test]

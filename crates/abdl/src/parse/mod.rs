@@ -28,7 +28,7 @@
 mod lexer;
 mod parser;
 
-pub use lexer::{Lexer, Token, TokenKind};
+pub use lexer::{char_at, is_word_start, quoted, word_end, Lexer, Token, TokenKind};
 pub use parser::{parse_request, parse_transaction};
 
 #[cfg(test)]

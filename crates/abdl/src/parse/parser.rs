@@ -289,11 +289,11 @@ impl Parser {
         let v = match self.peek().kind.clone() {
             TokenKind::Int(i) => Value::Int(i),
             TokenKind::Float(f) => Value::Float(f),
-            TokenKind::Str(s) => Value::Str(s),
+            TokenKind::Str(s) => Value::from(s),
             TokenKind::Ident(s) if s.eq_ignore_ascii_case("NULL") => Value::Null,
             // Barewords are string values (the thesis writes unquoted
             // values like `course` in `(FILE = course)`).
-            TokenKind::Ident(s) => Value::Str(s),
+            TokenKind::Ident(s) => Value::from(s),
             other => return Err(self.err(format!("expected value, found {other:?}"))),
         };
         self.bump();

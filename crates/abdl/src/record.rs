@@ -5,6 +5,7 @@
 use crate::value::Value;
 use crate::FILE_ATTR;
 use std::fmt;
+use std::sync::Arc;
 
 /// A kernel database key: the unique address of a record in the store.
 ///
@@ -28,15 +29,16 @@ impl fmt::Display for DbKey {
 /// This allows for the representation of any and all logical concepts."
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Keyword {
-    /// The attribute name.
-    pub attr: String,
+    /// The attribute name, shared: a [`Store`](crate::Store) points
+    /// every record's copy of a name at one allocation.
+    pub attr: Arc<str>,
     /// The attribute value.
     pub value: Value,
 }
 
 impl Keyword {
     /// Construct a keyword.
-    pub fn new(attr: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn new(attr: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
         Keyword { attr: attr.into(), value: value.into() }
     }
 }
@@ -69,7 +71,7 @@ impl Record {
     /// Build a record from `(attr, value)` pairs.
     pub fn from_pairs<A, V, I>(pairs: I) -> Self
     where
-        A: Into<String>,
+        A: Into<Arc<str>>,
         V: Into<Value>,
         I: IntoIterator<Item = (A, V)>,
     {
@@ -84,7 +86,7 @@ impl Record {
 
     /// Append a keyword. If the attribute is already present the existing
     /// keyword is overwritten ("at most one keyword for each attribute").
-    pub fn set(&mut self, attr: impl Into<String>, value: impl Into<Value>) -> &mut Self {
+    pub fn set(&mut self, attr: impl Into<Arc<str>>, value: impl Into<Value>) -> &mut Self {
         let attr = attr.into();
         let value = value.into();
         if let Some(kw) = self.keywords.iter_mut().find(|k| k.attr == attr) {
@@ -96,14 +98,14 @@ impl Record {
     }
 
     /// Builder-style [`Record::set`].
-    pub fn with(mut self, attr: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, attr: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
         self.set(attr, value);
         self
     }
 
     /// The value of `attr`, if the record carries a keyword for it.
     pub fn get(&self, attr: &str) -> Option<&Value> {
-        self.keywords.iter().find(|k| k.attr == attr).map(|k| &k.value)
+        self.keywords.iter().find(|k| &*k.attr == attr).map(|k| &k.value)
     }
 
     /// Like [`Record::get`] but treating a missing keyword as NULL,
@@ -115,7 +117,7 @@ impl Record {
 
     /// Remove the keyword for `attr`; returns its value if present.
     pub fn remove(&mut self, attr: &str) -> Option<Value> {
-        let idx = self.keywords.iter().position(|k| k.attr == attr)?;
+        let idx = self.keywords.iter().position(|k| &*k.attr == attr)?;
         Some(self.keywords.remove(idx).value)
     }
 
@@ -129,9 +131,14 @@ impl Record {
         &self.keywords
     }
 
+    /// Mutable keywords, for the store's interning of names in place.
+    pub(crate) fn keywords_mut(&mut self) -> &mut [Keyword] {
+        &mut self.keywords
+    }
+
     /// Attribute names in keyword order.
     pub fn attrs(&self) -> impl Iterator<Item = &str> {
-        self.keywords.iter().map(|k| k.attr.as_str())
+        self.keywords.iter().map(|k| &*k.attr)
     }
 
     /// Number of keywords.
@@ -145,11 +152,12 @@ impl Record {
     }
 
     /// Project the record onto a set of attributes, keeping target order.
+    /// The projection shares this record's names and string values.
     pub fn project<'a, I: IntoIterator<Item = &'a str>>(&self, attrs: I) -> Record {
         let mut out = Record::new();
         for attr in attrs {
-            if let Some(v) = self.get(attr) {
-                out.set(attr, v.clone());
+            if let Some(kw) = self.keywords.iter().find(|k| &*k.attr == attr) {
+                out.set(Arc::clone(&kw.attr), kw.value.clone());
             }
         }
         out

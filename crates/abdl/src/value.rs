@@ -7,14 +7,16 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value of an ABDM keyword.
 ///
 /// Values form a total order so that range predicates (`<`, `<=`, `>`,
 /// `>=`) and the kernel's per-attribute directory indexes behave
 /// deterministically even across types: `Null < Int ≈ Float < Str`.
-/// Integer/float comparisons are numeric; everything else orders by type
-/// first, then within type.
+/// Integer/float comparisons are numeric and exact (an `Int` past 2^53
+/// is not rounded to its float neighbour); everything else orders by
+/// type first, then within type.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// The null value ("does not identify a record / no value").
@@ -24,13 +26,15 @@ pub enum Value {
     /// A floating-point number — network `FLOAT` / Daplex `FLOAT`.
     Float(f64),
     /// A character string — network `CHARACTER(n)` / Daplex `STRING`,
-    /// also used for enumeration literals and booleans.
-    Str(String),
+    /// also used for enumeration literals and booleans. Shared rather
+    /// than owned, so a store can point every copy of a name at one
+    /// allocation.
+    Str(Arc<str>),
 }
 
 impl Value {
     /// String value helper.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
     }
 
@@ -96,8 +100,8 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             // Numeric cross-comparison: totalize NaN as greatest float.
-            (Int(a), Float(b)) => cmp_f64(*a as f64, *b),
-            (Float(a), Int(b)) => cmp_f64(*a, *b as f64),
+            (Int(a), Float(b)) => cmp_int_f64(*a, *b),
+            (Float(a), Int(b)) => cmp_int_f64(*b, *a).reverse(),
             (Float(a), Float(b)) => cmp_f64(*a, *b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
@@ -116,8 +120,15 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 1u8.hash(state);
-                // Normalize -0.0 to 0.0 to match Eq.
-                let f = if *f == 0.0 { 0.0 } else { *f };
+                // Normalize -0.0 to 0.0 and every NaN to one NaN to
+                // match Eq.
+                let f = if *f == 0.0 {
+                    0.0
+                } else if f.is_nan() {
+                    f64::NAN
+                } else {
+                    *f
+                };
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -138,6 +149,33 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
             (false, false) => unreachable!("partial_cmp on non-NaN floats"),
         }
     })
+}
+
+/// `a` against `b` without rounding `a` to a float: NaN is greatest,
+/// floats past the `i64` range lie beyond every integer, and otherwise
+/// the integer part decides, then the fraction.
+fn cmp_int_f64(a: i64, b: f64) -> Ordering {
+    // 2^63: the first float above every i64 (-2^63 is i64::MIN itself).
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() || b >= LIMIT {
+        return Ordering::Less;
+    }
+    if b < -LIMIT {
+        return Ordering::Greater;
+    }
+    // In range, so the truncation is exact.
+    let whole = b.trunc() as i64;
+    a.cmp(&whole).then_with(|| 0f64.partial_cmp(&b.fract()).expect("finite fraction"))
+}
+
+/// `s` cut to at most `max` bytes, at the last char boundary that fits
+/// — the `CHAR(n)` truncation of every schema. `s` itself when it fits.
+pub fn truncate_str(s: Arc<str>, max: usize) -> Arc<str> {
+    if s.len() <= max {
+        return s;
+    }
+    let end = (0..=max).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+    Arc::from(&s[..end])
 }
 
 impl fmt::Display for Value {
@@ -173,19 +211,19 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
 impl From<bool> for Value {
     fn from(v: bool) -> Self {
-        Value::Str(if v { "true" } else { "false" }.to_owned())
+        Value::Str(if v { "true" } else { "false" }.into())
     }
 }
 
@@ -218,6 +256,82 @@ mod tests {
         assert_eq!(Value::Int(-4).to_string(), "-4");
         assert_eq!(Value::Float(4.0).to_string(), "4.0");
         assert_eq!(Value::Null.to_string(), "NULL");
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact_past_2_pow_53() {
+        let big = 1i64 << 53;
+        assert_eq!(Value::Int(big), Value::Float(big as f64));
+        assert!(Value::Int(big + 1) > Value::Float(big as f64));
+        assert!(Value::Float(big as f64) < Value::Int(big + 1));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(-3) > Value::Float(-3.5));
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert_eq!(Value::Int(0), Value::Float(-0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+    }
+
+    /// Seeded property: the order is a total order (antisymmetric,
+    /// transitive) and `Hash` agrees with `Eq`, on triples mixing large
+    /// ints, their float neighbours, ±0.0, infinities and NaN.
+    #[test]
+    fn order_is_transitive_and_hash_consistent() {
+        use crate::prng::Prng;
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let mut pool = vec![
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(0),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Float(9_223_372_036_854_775_808.0),
+            Value::Null,
+            Value::str("x"),
+        ];
+        for base in [1i64 << 53, 1 << 54, 1 << 62, -(1 << 53), 3] {
+            for d in -2..=2 {
+                pool.push(Value::Int(base + d));
+                let f = base as f64;
+                pool.push(Value::Float(f));
+                pool.push(Value::Float(f64::from_bits(f.to_bits() + 1)));
+                pool.push(Value::Float(f64::from_bits(f.to_bits() - 1)));
+                pool.push(Value::Float(f + d as f64 * 0.5));
+            }
+        }
+        let mut rng = Prng::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            let a = rng.pick(&pool);
+            let b = rng.pick(&pool);
+            let c = rng.pick(&pool);
+            assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetry: {a:?} {b:?}");
+            if a <= b && b <= c {
+                assert!(a <= c, "transitivity: {a:?} <= {b:?} <= {c:?}");
+            }
+            if a == b {
+                assert_eq!(hash(a), hash(b), "hash: {a:?} == {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncate_str_stops_at_a_char_boundary() {
+        assert_eq!(&*truncate_str("é".into(), 1), "");
+        assert_eq!(&*truncate_str("aé".into(), 2), "a");
+        assert_eq!(&*truncate_str("José".into(), 5), "José");
+        assert_eq!(&*truncate_str("abc".into(), 2), "ab");
     }
 
     #[test]

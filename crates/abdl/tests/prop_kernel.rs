@@ -18,7 +18,7 @@ fn gen_value(rng: &mut Prng) -> Value {
             let len = rng.index(7);
             let s: String =
                 (0..len).map(|_| (b'a' + rng.index(26) as u8) as char).collect();
-            Value::Str(s)
+            Value::from(s)
         }
     }
 }
@@ -126,6 +126,34 @@ fn request_print_parse_roundtrip() {
                 .unwrap_or_else(|e| panic!("reparse failed for `{text}`: {e}"));
             assert_eq!(req, reparsed, "round trip failed for `{text}` (seed {seed})");
         }
+    }
+}
+
+/// Records holding non-ASCII text — in string values, bareword-safe
+/// attribute names and the record body — print and reparse exactly
+/// (the WAL and the wire both rely on this round trip).
+#[test]
+fn non_ascii_record_print_parse_roundtrip() {
+    const CHARS: [char; 8] = ['a', '\'', ' ', 'é', 'ß', '名', '☃', '🦀'];
+    const ATTRS: [&str; 3] = ["naïve", "名前", "x"];
+    for seed in 0..CASES {
+        let mut rng = Prng::seed_from_u64(0x5e_6000 + seed);
+        let text =
+            |rng: &mut Prng| -> String { (0..rng.index(8)).map(|_| *rng.pick(&CHARS)).collect() };
+        let mut r = Record::from_pairs([("FILE", Value::str("café"))]);
+        for attr in ATTRS {
+            if rng.chance(2, 3) {
+                r.set(attr, Value::from(text(&mut rng)));
+            }
+        }
+        if rng.chance(1, 2) {
+            r.body = Some(text(&mut rng));
+        }
+        let req = Request::Insert { record: r };
+        let printed = req.to_string();
+        let reparsed = parse_request(&printed)
+            .unwrap_or_else(|e| panic!("reparse failed for `{printed}`: {e}"));
+        assert_eq!(req, reparsed, "round trip failed for `{printed}` (seed {seed})");
     }
 }
 

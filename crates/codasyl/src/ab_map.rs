@@ -23,7 +23,7 @@
 
 use crate::error::{Error, Result};
 use crate::schema::{NetAttrType, NetworkSchema, Owner, RecordType};
-use abdl::{Kernel, Record, Value, FILE_ATTR};
+use abdl::{value::truncate_str, Kernel, Record, Value, FILE_ATTR};
 
 /// The entity key representing the SYSTEM owner of singular sets.
 pub const SYSTEM_OWNER_KEY: i64 = 0;
@@ -101,14 +101,11 @@ fn coerce_type(
             .map_err(|_| mismatch(&Value::Str(s.clone()))),
         (NetAttrType::Float { .. }, v) => Err(mismatch(&v)),
         (NetAttrType::Char { len }, v) => {
-            let mut s = match v {
+            let s = match v {
                 Value::Str(s) => s,
-                other => other.to_string(),
+                other => other.to_string().into(),
             };
-            if s.len() > *len as usize {
-                s.truncate(*len as usize);
-            }
-            Ok(Value::Str(s))
+            Ok(Value::Str(truncate_str(s, *len as usize)))
         }
     }
 }

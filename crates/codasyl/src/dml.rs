@@ -320,7 +320,7 @@ fn parse_move(c: &mut Cursor) -> Result<Statement> {
     let value = match c.peek().clone() {
         Tok::Str(s) => {
             c.bump();
-            Value::Str(s)
+            Value::from(s)
         }
         Tok::Int(i) => {
             c.bump();

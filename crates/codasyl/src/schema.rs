@@ -63,7 +63,7 @@ impl ValueCheck {
             (ValueCheck::Range { lo, hi }, abdl::Value::Int(i)) => i >= lo && i <= hi,
             (ValueCheck::Range { .. }, _) => false,
             (ValueCheck::OneOf { literals }, abdl::Value::Str(s)) => {
-                literals.iter().any(|l| l == s)
+                literals.iter().any(|l| **l == **s)
             }
             (ValueCheck::OneOf { .. }, _) => false,
         }

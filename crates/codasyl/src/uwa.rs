@@ -48,7 +48,7 @@ impl Uwa {
     pub fn load_record(&mut self, record: &str, rec: &Record) {
         let template = self.templates.entry(record.to_owned()).or_default();
         for kw in rec.keywords() {
-            template.insert(kw.attr.clone(), kw.value.clone());
+            template.insert(kw.attr.to_string(), kw.value.clone());
         }
     }
 

@@ -353,7 +353,7 @@ fn parse_constant(c: &mut Cursor, raw: &mut RawSchema) -> Result<()> {
         Tok::Str(s) => {
             let len = s.len() as u16;
             c.bump();
-            (Value::Str(s), BaseKind::Str { len })
+            (Value::from(s), BaseKind::Str { len })
         }
         other => return Err(c.err(format!("expected literal constant, found {other:?}"))),
     };

@@ -325,7 +325,7 @@ fn parse_literal(c: &mut Cursor) -> Result<Value> {
     let v = match c.peek().clone() {
         Tok::Int(i) => Value::Int(i),
         Tok::Float(f) => Value::Float(f),
-        Tok::Str(s) => Value::Str(s),
+        Tok::Str(s) => Value::from(s),
         Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
         Tok::Word(w) if w.eq_ignore_ascii_case("TRUE") => Value::str("true"),
         Tok::Word(w) if w.eq_ignore_ascii_case("FALSE") => Value::str("false"),
@@ -342,10 +342,10 @@ fn join_values(mut vals: Vec<Value>) -> Value {
     match vals.len() {
         0 => Value::Null,
         1 => vals.pop().expect("one value"),
-        _ => Value::Str(
+        _ => Value::from(
             vals.iter()
                 .map(|v| match v {
-                    Value::Str(s) => s.clone(),
+                    Value::Str(s) => s.to_string(),
                     other => other.to_string(),
                 })
                 .collect::<Vec<_>>()
@@ -705,14 +705,14 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                     .filter_map(|(_, r)| {
                         let v = r.get_or_null(function);
                         (!v.is_null()).then(|| match v {
-                            Value::Str(s) => s.clone(),
+                            Value::Str(s) => s.to_string(),
                             other => other.to_string(),
                         })
                     })
                     .collect();
                 vals.sort();
                 vals.dedup();
-                Ok(Value::Str(vals.join(", ")))
+                Ok(Value::from(vals.join(", ")))
             }
             FnStorage::RangeMemberAttr { file, .. } => {
                 // Keys of range entities pointing back at `key`.
@@ -729,7 +729,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                     .iter()
                     .filter_map(|(_, r)| r.get(names::key_attr(&file)).and_then(Value::as_int))
                     .collect();
-                Ok(Value::Str(
+                Ok(Value::from(
                     keys.iter().map(|k| format!("#{k}")).collect::<Vec<_>>().join(", "),
                 ))
             }
@@ -752,7 +752,7 @@ impl<'a, K: Kernel> Interpreter<'a, K> {
                     .iter()
                     .filter_map(|(_, r)| r.get(&other_attr).and_then(Value::as_int))
                     .collect();
-                Ok(Value::Str(
+                Ok(Value::from(
                     keys.iter().map(|k| format!("#{k}")).collect::<Vec<_>>().join(", "),
                 ))
             }

@@ -1,6 +1,7 @@
 //! Tokenizer shared by the Daplex DDL and DML parsers.
 
 use crate::error::{Error, Result};
+use abdl::parse::{char_at, is_word_start, quoted, word_end};
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,28 +152,11 @@ pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>> {
                 }
             }
             b'\'' => {
-                pos += 1;
-                let mut s = String::new();
-                loop {
-                    if pos >= bytes.len() {
-                        return Err(Error::Parse {
-                            msg: "unterminated string literal".into(),
-                            offset,
-                        });
-                    }
-                    if bytes[pos] == b'\'' {
-                        if bytes.get(pos + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            pos += 2;
-                        } else {
-                            pos += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[pos] as char);
-                        pos += 1;
-                    }
-                }
+                let (s, end) = quoted(src, pos).ok_or_else(|| Error::Parse {
+                    msg: "unterminated string literal".into(),
+                    offset,
+                })?;
+                pos = end;
                 Tok::Str(s)
             }
             b'0'..=b'9' | b'-' | b'+' => {
@@ -209,21 +193,14 @@ pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>> {
                     })?)
                 }
             }
-            c if c == b'_' || (c as char).is_alphabetic() => {
+            _ if src[pos..].starts_with(is_word_start) => {
                 let start = pos;
-                while pos < bytes.len() {
-                    let c = bytes[pos];
-                    if c == b'_' || (c as char).is_alphanumeric() {
-                        pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                Tok::Word(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
+                pos = word_end(src, start);
+                Tok::Word(src[start..pos].to_owned())
             }
-            other => {
+            _ => {
                 return Err(Error::Parse {
-                    msg: format!("unexpected character `{}`", other as char),
+                    msg: format!("unexpected character `{}`", char_at(src, pos)),
                     offset,
                 })
             }

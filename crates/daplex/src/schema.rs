@@ -107,9 +107,9 @@ impl NonEntityType {
                     Ok(())
                 }
             }
-            (BaseKind::Bool, Value::Str(s)) if s == "true" || s == "false" => Ok(()),
+            (BaseKind::Bool, Value::Str(s)) if &**s == "true" || &**s == "false" => Ok(()),
             (BaseKind::Enum { literals }, Value::Str(s)) => {
-                if literals.iter().any(|l| l == s) {
+                if literals.iter().any(|l| **l == **s) {
                     Ok(())
                 } else {
                     Err(bad("not an enumeration literal"))
@@ -634,11 +634,11 @@ impl FunctionalSchema {
                 _ => Err(bad("expected a number")),
             },
             FnRange::Bool => match v {
-                Value::Str(s) if s == "true" || s == "false" => Ok(()),
+                Value::Str(s) if &**s == "true" || &**s == "false" => Ok(()),
                 _ => Err(bad("expected true or false")),
             },
             FnRange::Enum { literals } => match v {
-                Value::Str(s) if literals.iter().any(|l| l == s) => Ok(()),
+                Value::Str(s) if literals.iter().any(|l| **l == **s) => Ok(()),
                 _ => Err(bad("not an enumeration literal")),
             },
             FnRange::Entity(_) => match v {

@@ -6,7 +6,7 @@
 
 use crate::error::{Error, Result};
 use crate::schema::{FieldType, HierSchema, Segment};
-use abdl::{Kernel, Value};
+use abdl::{value::truncate_str, Kernel, Value};
 
 /// The attribute holding a segment occurrence's own key is named after
 /// its segment type.
@@ -42,12 +42,7 @@ pub fn coerce(segment: &Segment, field: &str, value: Value) -> Result<Value> {
         (FieldType::Float, Value::Float(x)) => Ok(Value::Float(x)),
         (FieldType::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
         (FieldType::Float, v) => Err(mismatch(&v)),
-        (FieldType::Char { len }, Value::Str(mut s)) => {
-            if s.len() > *len as usize {
-                s.truncate(*len as usize);
-            }
-            Ok(Value::Str(s))
-        }
+        (FieldType::Char { len }, Value::Str(s)) => Ok(Value::Str(truncate_str(s, *len as usize))),
         (FieldType::Char { .. }, v) => Err(mismatch(&v)),
     }
 }

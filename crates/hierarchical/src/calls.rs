@@ -168,7 +168,7 @@ fn parse_value(c: &mut Cursor) -> Result<Value> {
     let v = match c.peek().clone() {
         Tok::Int(i) => Value::Int(i),
         Tok::Float(f) => Value::Float(f),
-        Tok::Str(s) => Value::Str(s),
+        Tok::Str(s) => Value::from(s),
         Tok::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
         other => return Err(c.err(format!("expected literal, found {other:?}"))),
     };

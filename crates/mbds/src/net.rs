@@ -280,7 +280,7 @@ fn take_value(t: &mut Take<'_>) -> Result<Value> {
         0 => Value::Null,
         1 => Value::Int(t.u64()? as i64),
         2 => Value::Float(f64::from_bits(t.u64()?)),
-        3 => Value::Str(t.str()?),
+        3 => Value::from(t.str()?),
         tag => return Err(Take::bad(&format!("value tag {tag}"))),
     })
 }

@@ -43,7 +43,7 @@ impl Namespace {
 
     fn map_value_in(&self, v: &mut Value) {
         if let Value::Str(s) = v {
-            *s = self.add_prefix(s);
+            *s = self.add_prefix(s).into();
         }
     }
 

@@ -6,7 +6,7 @@
 
 use crate::error::{Error, Result};
 use crate::schema::{ColType, RelSchema, Table};
-use abdl::{Kernel, Record, Value, FILE_ATTR};
+use abdl::{value::truncate_str, Kernel, Record, Value, FILE_ATTR};
 
 /// The attribute holding a row's kernel key is named after its table.
 pub fn key_attr(table: &str) -> &str {
@@ -51,12 +51,7 @@ pub fn coerce(table: &Table, column: &str, value: Value) -> Result<Value> {
         (ColType::Float, Value::Float(f)) => Ok(Value::Float(f)),
         (ColType::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
         (ColType::Float, v) => Err(mismatch(&v)),
-        (ColType::Char { len }, Value::Str(mut s)) => {
-            if s.len() > *len as usize {
-                s.truncate(*len as usize);
-            }
-            Ok(Value::Str(s))
-        }
+        (ColType::Char { len }, Value::Str(s)) => Ok(Value::Str(truncate_str(s, *len as usize))),
         (ColType::Char { .. }, v) => Err(mismatch(&v)),
     }
 }

@@ -223,3 +223,101 @@ fn sql_reads_a_hierarchical_database_through_the_derived_view() {
         .unwrap_err();
     assert!(err.to_string().contains("read-only"), "{err}");
 }
+
+/// Every language reads text as UTF-8: a non-ASCII value inserted
+/// through one interface reads back unchanged through the same one.
+#[test]
+fn every_language_round_trips_non_ascii_text() {
+    let mut m = Mlds::single_backend();
+
+    // --- SQL ---
+    m.create_database(SQL_DDL).unwrap();
+    let mut sql = m.connect_sql("codd", "suppliers").unwrap();
+    m.execute_sql(
+        &mut sql,
+        "INSERT INTO supplier (sno, sname, city) VALUES (1, 'José', 'São Paulo');",
+    )
+    .unwrap();
+    let out =
+        m.execute_sql(&mut sql, "SELECT sname, city FROM supplier WHERE sname = 'José';").unwrap();
+    let shown = &out[0].display;
+    assert_eq!(out[0].affected, 1, "{shown}");
+    assert!(shown.contains("José") && shown.contains("São Paulo"), "{shown}");
+
+    // --- DL/I ---
+    m.create_database(DBD).unwrap();
+    let mut ims = m.connect_dli("ibm", "school").unwrap();
+    m.execute_dli(&mut ims, "ISRT department (dno = 1, dname = 'Müller')").unwrap();
+    let out = m.execute_dli(&mut ims, "GU department (dname = 'Müller')").unwrap();
+    assert!(out[0].display.contains("Müller"), "{}", out[0].display);
+
+    // --- CODASYL-DML ---
+    m.create_database(
+        "SCHEMA NAME IS routes.
+         RECORD NAME IS leg.
+           02 num TYPE IS FIXED.
+           02 dest TYPE IS CHARACTER 20.
+         SET NAME IS system_leg.
+           OWNER IS SYSTEM.
+           MEMBER IS leg.
+           INSERTION IS AUTOMATIC.
+           RETENTION IS FIXED.
+           SET SELECTION IS BY APPLICATION.",
+    )
+    .unwrap();
+    let mut net = m.connect_codasyl("coker", "routes").unwrap();
+    m.execute_codasyl(&mut net, "MOVE 1 TO num IN leg\nMOVE 'Zürich' TO dest IN leg\nSTORE leg")
+        .unwrap();
+    let out = m
+        .execute_codasyl(
+            &mut net,
+            "MOVE 'Zürich' TO dest IN leg\nFIND ANY leg USING dest IN leg\nGET leg",
+        )
+        .unwrap();
+    assert!(out[2].display.contains("Zürich"), "{}", out[2].display);
+
+    // --- Daplex ---
+    m.create_database(daplex::university::UNIVERSITY_DDL).unwrap();
+    let mut dap = m.connect_daplex("shipman", "university").unwrap();
+    m.execute_daplex(
+        &mut dap,
+        "CREATE student (name := 'Ærøskøbing', age := 21, major := 'Ciência');",
+    )
+    .unwrap();
+    let out = m
+        .execute_daplex(
+            &mut dap,
+            "FOR EACH student SUCH THAT name(student) = 'Ærøskøbing'
+                 PRINT name(student), major(student);",
+        )
+        .unwrap();
+    assert_eq!(out[0].affected, 1, "{}", out[0].display);
+    assert!(out[0].display.contains("Ciência"), "{}", out[0].display);
+
+    // --- raw ABDL (a non-ASCII bareword file name, string and body) ---
+    let abdl = |text: &str| mlds::abdl::parse::parse_request(text).unwrap();
+    let k = m.kernel_mut();
+    k.execute(&abdl("INSERT (<FILE, café>, <name, 'Łódź'>, {crème brûlée})")).unwrap();
+    let resp = k.execute(&abdl("RETRIEVE ((FILE = café) and (name = 'Łódź')) (*)")).unwrap();
+    let (_, rec) = &resp.records()[0];
+    assert_eq!(rec.get("name"), Some(&mlds::abdl::Value::str("Łódź")));
+    assert_eq!(rec.file(), Some("café"));
+    assert_eq!(rec.body.as_deref(), Some("crème brûlée"));
+}
+
+/// `CHAR(n)` truncation stops at a char boundary instead of splitting
+/// (and panicking on) a multi-byte character.
+#[test]
+fn char_truncation_keeps_whole_characters() {
+    let mut m = Mlds::single_backend();
+    m.create_database(
+        "CREATE DATABASE tiny;
+         CREATE TABLE t (k INTEGER NOT NULL, c CHAR(1), d CHAR(3), PRIMARY KEY (k));",
+    )
+    .unwrap();
+    let mut sql = m.connect_sql("codd", "tiny").unwrap();
+    m.execute_sql(&mut sql, "INSERT INTO t (k, c, d) VALUES (1, 'é', 'aéb');").unwrap();
+    let out = m.execute_sql(&mut sql, "SELECT d FROM t WHERE k = 1;").unwrap();
+    let shown = &out[0].display;
+    assert!(shown.contains("aé") && !shown.contains("aéb"), "{shown}");
+}
