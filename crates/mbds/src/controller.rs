@@ -25,7 +25,7 @@ use crate::health::{BackendState, HealthBoard};
 use crate::net::{self, kind, Frame, NetFaultPlan, TcpLink, WireOp, WireReply};
 use crate::placement::Partitioner;
 use crate::rebalance::{self, MoveJob, Rebalancer};
-use crate::sched::Footprint;
+use crate::sched;
 use crate::unique::UniqueIndex;
 use crate::wal::{FileLog, LogRecord, LogStore, SnapshotData, Wal, WalStats};
 use abdl::engine::aggregate;
@@ -391,7 +391,7 @@ impl Controller {
 
     /// The channel-transport constructor body: `n` worker threads on
     /// the in-process bus.
-    fn with_replication_chan(n: usize, k: usize) -> Self {
+    pub(crate) fn with_replication_chan(n: usize, k: usize) -> Self {
         assert!(n > 0, "MBDS needs at least one backend");
         assert!((1..=n).contains(&k), "replication factor must be in 1..=n, got {k}");
         let faults: Arc<Mutex<FaultPlan>> = Arc::default();
@@ -2900,9 +2900,11 @@ impl Kernel for Controller {
     /// The conflict-scheduled, pipelined batch path: one request from
     /// each of several concurrent sessions, admitted together.
     ///
-    /// The scheduler walks the batch in admission order, classifying
-    /// each request's [`Footprint`] and greedily forming *flights* of
-    /// consecutive non-conflicting inserts and retrieves. A flight's
+    /// The scheduler ([`sched::carve`]) walks the batch in admission
+    /// order, classifying each request's [`sched::Footprint`] and greedily
+    /// forming *flights* of consecutive non-conflicting inserts and
+    /// retrieves (admission is O(1) per request against the flight's
+    /// running [`sched::Flight`] summary). A flight's
     /// rounds are all staged onto the backend bus before any reply is
     /// awaited, so non-conflicting sessions' requests are in flight
     /// concurrently on the per-backend sender threads — read-only
@@ -2910,10 +2912,11 @@ impl Kernel for Controller {
     /// mixed read/insert flights (key-/file-disjoint footprints)
     /// alike, with key-pinned point reads going out as single-backend
     /// probes; a conflicting request closes the flight (a
-    /// `conflict_stalls` tick) and waits for it to drain. Because the per-backend channels are FIFO and both the
-    /// staging and the collection walk in admission order, the result
-    /// is always equivalent to executing the batch serially in
-    /// admission order (`tests/concurrent_equivalence.rs`).
+    /// `conflict_stalls` tick) and waits for it to drain. Because the
+    /// per-backend channels are FIFO and both the staging and the
+    /// collection walk in admission order, the result is always
+    /// equivalent to executing the batch serially in admission order
+    /// (`tests/concurrent_equivalence.rs`).
     ///
     /// The whole batch runs inside one WAL group-commit batch: every
     /// session's appends are buffered and flushed with a single sync —
@@ -2943,39 +2946,24 @@ impl Kernel for Controller {
             self.totals.rebalance_stalls += requests.len() as u64;
         }
         let stageable = self.net.is_none() && self.unique_via_index && !rebalancing;
-        let mut i = 0;
-        while i < requests.len() {
-            let mut flight_fps: Vec<Footprint> = Vec::new();
-            let mut j = i;
-            while stageable && j < requests.len() {
-                // Inserts and retrieves stage; deletes, updates and
-                // joins run dependent controller-side rounds and
-                // execute solo.
-                let flyable = match &requests[j] {
-                    Request::Insert { .. } => true,
-                    Request::Retrieve { .. } => self.parallel_reads,
-                    _ => false,
-                };
-                if !flyable {
-                    break;
-                }
-                let fp = Footprint::of(&requests[j], self.uniques.groups());
-                // A broadcast *write* cannot be staged at all; a
-                // broadcast read can ride a read-only flight (read
-                // pairs always commute; any write next to it is a
-                // footprint conflict and closes the flight).
-                if fp.broadcast && fp.write {
-                    break;
-                }
-                if flight_fps.iter().any(|f| f.conflicts(&fp)) {
-                    self.totals.conflict_stalls += 1;
-                    break;
-                }
-                flight_fps.push(fp);
-                j += 1;
-            }
-            if j - i >= 2 {
-                let items: Vec<FlightItem> = requests[i..j]
+        // Inserts and retrieves stage; deletes, updates and joins run
+        // dependent controller-side rounds and execute solo.
+        let plan = sched::carve(
+            requests,
+            self.uniques.groups(),
+            |r| {
+                stageable
+                    && match r {
+                        Request::Insert { .. } => true,
+                        Request::Retrieve { .. } => self.parallel_reads,
+                        _ => false,
+                    }
+            },
+            &mut self.totals,
+        );
+        for range in plan {
+            if range.len() >= 2 {
+                let items: Vec<FlightItem> = requests[range]
                     .iter()
                     .map(|r| match r {
                         Request::Insert { record } => FlightItem::Insert(record),
@@ -2983,21 +2971,9 @@ impl Kernel for Controller {
                         _ => unreachable!("flights hold only inserts and retrieves"),
                     })
                     .collect();
-                let reads =
-                    items.iter().filter(|m| matches!(m, FlightItem::Read(_))).count();
-                self.totals.sched_flights += 1;
-                if reads == items.len() {
-                    self.totals.sched_read_flights += 1;
-                } else if reads > 0 {
-                    self.totals.sched_mixed_flights += 1;
-                }
-                self.totals.sched_max_flight =
-                    self.totals.sched_max_flight.max((j - i) as u64);
                 results.extend(self.execute_flight(&items));
-                i = j;
             } else {
-                results.push(self.execute(&requests[i]));
-                i += 1;
+                results.push(self.execute(&requests[range.start]));
             }
         }
         if let Err(e) = self.wal_commit_batch() {

@@ -37,9 +37,30 @@
 //! the current flight and waits for it to drain, so execution is
 //! always equivalent to the serial admission order — the property
 //! `tests/concurrent_equivalence.rs` pins.
+//!
+//! [`Footprint::conflicts`] is the specification; admission does not
+//! walk it pairwise. A [`Flight`] keeps the *union* of its members'
+//! footprints — whether an insert or a broadcast read is aboard, the
+//! inserts' files and claimed tuples, the files some read touches
+//! without key-scoping them, and the reads' pinned tuples — and
+//! [`Flight::admits`] answers with a few hash lookups, O(1) in the
+//! flight length. It is exact for the members a flight can hold
+//! (inserts and retrieves) because every key tuple names its file and
+//! an insert's footprint covers exactly one file: the pairwise tests
+//! "shares a file" and "claimed/pinned tuples intersect" are then
+//! membership tests in the union, and none of them needs to know
+//! *which* member supplied the matching file or tuple.
+//! `tests/sched_prop.rs` checks `admits` against `!any(conflicts)` at
+//! every step of seeded random flights.
+//!
+//! [`carve`] is the one carving loop: both hosts
+//! (`Controller::execute_batch` and `SimCluster::execute_batch`) plan
+//! their batches with it and differ only in the "may this request
+//! fly" rule they pass and in how they execute a flight.
 
-use abdl::{Request, Value};
-use std::collections::{BTreeSet, HashMap};
+use abdl::{ExecTotals, Request, Value};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 
 /// The unique-constraint registry the classifier consults: per file,
 /// the declared `DUPLICATES ARE NOT ALLOWED` attribute groups, in
@@ -221,6 +242,156 @@ impl Footprint {
     }
 }
 
+/// A unique-index tuple as footprints name it: `(file, group index,
+/// value tuple)`.
+type KeyTuple = (String, usize, Vec<Value>);
+
+/// The running summary of the footprints already admitted to a flight:
+/// the union [`Flight::admits`] consults instead of every member.
+#[derive(Debug, Default)]
+pub struct Flight {
+    /// Members admitted so far.
+    len: usize,
+    /// Some insert is in flight.
+    insert: bool,
+    /// Some broadcast (FILE-less) read is in flight.
+    broadcast_read: bool,
+    /// The files the inserts in flight target.
+    insert_files: HashSet<String>,
+    /// The unique tuples the inserts in flight claim.
+    insert_keys: HashSet<KeyTuple>,
+    /// Files some read in flight touches without key-scoping them.
+    loose_read_files: HashSet<String>,
+    /// The unique tuples the reads in flight pin.
+    read_keys: HashSet<KeyTuple>,
+}
+
+impl Flight {
+    /// True when `fp` may join the flight: exactly
+    /// `!members.iter().any(|m| m.conflicts(fp))` for a flight of
+    /// inserts and retrieves and any insert or read `fp` (footprints
+    /// built by [`Footprint::of`]). A delete, update or broadcast
+    /// write never flies, so it is admitted only into an empty flight.
+    pub fn admits(&self, fp: &Footprint) -> bool {
+        let claimed = |keys: &HashSet<KeyTuple>| fp.keys.iter().any(|k| keys.contains(k));
+        if fp.insert {
+            // Against an insert member: a shared claimed tuple (tuples
+            // name their file, so sharing one means sharing the file).
+            // Against a read member: the read is broadcast, touches
+            // this insert's one file without key-scoping it, or pins a
+            // tuple this insert claims.
+            !(self.broadcast_read
+                || fp.files.iter().any(|f| self.loose_read_files.contains(f))
+                || claimed(&self.insert_keys)
+                || claimed(&self.read_keys))
+        } else if !fp.write {
+            // A read conflicts only with inserts: any insert when the
+            // read is broadcast; otherwise an insert into a file the
+            // read does not key-scope, or one claiming a pinned tuple.
+            !(self.insert && fp.broadcast
+                || fp
+                    .files
+                    .iter()
+                    .any(|f| self.insert_files.contains(f) && !fp.key_scoped.contains(f))
+                || claimed(&self.insert_keys))
+        } else {
+            self.len == 0
+        }
+    }
+
+    /// Add an admitted insert or retrieve footprint to the summary.
+    pub fn push(&mut self, fp: Footprint) {
+        debug_assert!(!fp.write || fp.insert, "only inserts and retrieves fly");
+        self.len += 1;
+        if fp.insert {
+            self.insert = true;
+            self.insert_files.extend(fp.files);
+            self.insert_keys.extend(fp.keys);
+        } else {
+            self.broadcast_read |= fp.broadcast;
+            for f in fp.files {
+                if !fp.key_scoped.contains(&f) {
+                    self.loose_read_files.insert(f);
+                }
+            }
+            self.read_keys.extend(fp.keys);
+        }
+    }
+}
+
+/// Carve a batch into flights, walking it in admission order: each
+/// flight is the longest run of consecutive requests that `may_fly`
+/// allows, that are not broadcast writes, and that the flight ahead of
+/// them [admits](Flight::admits). A request the flight refuses closes
+/// it (a `conflict_stalls` tick) and opens the next one.
+///
+/// Returns the batch as consecutive index ranges in admission order;
+/// a range of one request runs solo. Every range of two or more is a
+/// flight, counted in `totals` (`sched_flights`, read/mixed flights,
+/// `sched_max_flight`).
+pub fn carve(
+    requests: &[Request],
+    uniques: &UniqueGroups,
+    may_fly: impl Fn(&Request) -> bool,
+    totals: &mut ExecTotals,
+) -> Vec<Range<usize>> {
+    let mut plan = Vec::new();
+    let mut flight = Flight::default();
+    let mut start = 0;
+    for (j, request) in requests.iter().enumerate() {
+        // A broadcast *write* cannot be staged at all; a broadcast read
+        // can ride a read-only flight (read pairs always commute; any
+        // write next to it is a footprint conflict and closes the
+        // flight).
+        let fp = Some(request)
+            .filter(|r| may_fly(r))
+            .map(|r| Footprint::of(r, uniques))
+            .filter(|fp| !(fp.broadcast && fp.write));
+        let Some(fp) = fp else {
+            close(&mut plan, start..j, requests, totals);
+            plan.push(j..j + 1);
+            flight = Flight::default();
+            start = j + 1;
+            continue;
+        };
+        if !flight.admits(&fp) {
+            totals.conflict_stalls += 1;
+            close(&mut plan, start..j, requests, totals);
+            flight = Flight::default();
+            start = j;
+        }
+        flight.push(fp);
+    }
+    close(&mut plan, start..requests.len(), requests, totals);
+    plan
+}
+
+/// End the flight `members` (if any): append it to `plan` and, when it
+/// holds two or more requests, count it.
+fn close(
+    plan: &mut Vec<Range<usize>>,
+    members: Range<usize>,
+    requests: &[Request],
+    totals: &mut ExecTotals,
+) {
+    if members.len() >= 2 {
+        let reads = requests[members.clone()]
+            .iter()
+            .filter(|r| matches!(r, Request::Retrieve { .. }))
+            .count();
+        totals.sched_flights += 1;
+        if reads == members.len() {
+            totals.sched_read_flights += 1;
+        } else if reads > 0 {
+            totals.sched_mixed_flights += 1;
+        }
+        totals.sched_max_flight = totals.sched_max_flight.max(members.len() as u64);
+    }
+    if !members.is_empty() {
+        plan.push(members);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +500,78 @@ mod tests {
         // must observe the cluster at one admission-order point.
         assert!(unscoped.conflicts(&fp("INSERT (<FILE, g>, <u, 3>)")));
         assert!(unscoped.conflicts(&fp("DELETE (FILE = g)")));
+    }
+
+    /// A `perfbench`-sized bulk-load chunk: 256 inserts into `g` with
+    /// unique keys `base..base + 256`, except that `dup_at` (if any)
+    /// repeats the key of member 10.
+    fn bulk_batch(base: i64, dup_at: Option<usize>) -> Vec<Request> {
+        (0..256)
+            .map(|i| {
+                let u = base + if Some(i) == dup_at { 10 } else { i as i64 };
+                let record = abdl::Record::from_pairs([("FILE", Value::str("g"))])
+                    .with("u", Value::Int(u))
+                    .with("x", Value::Int(i as i64));
+                Request::Insert { record }
+            })
+            .collect()
+    }
+
+    /// The scheduler counters `carve` owns, plus the batch count.
+    fn sched_counters(t: &ExecTotals) -> [u64; 6] {
+        [
+            t.batched_requests,
+            t.sched_flights,
+            t.sched_read_flights,
+            t.sched_mixed_flights,
+            t.sched_max_flight,
+            t.conflict_stalls,
+        ]
+    }
+
+    #[test]
+    fn carve_plans_a_bulk_load_batch_as_one_flight_or_stalls_at_the_duplicate() {
+        let mut totals = ExecTotals::default();
+        let plan = carve(&bulk_batch(0, None), &uniques(), |_| true, &mut totals);
+        assert_eq!(plan, vec![0..256]);
+        assert_eq!(sched_counters(&totals), [0, 1, 0, 0, 256, 0]);
+        let plan = carve(&bulk_batch(0, Some(200)), &uniques(), |_| true, &mut totals);
+        assert_eq!(plan, vec![0..200, 200..256], "the duplicate stalls at index 200");
+        assert_eq!(sched_counters(&totals), [0, 3, 0, 0, 256, 1]);
+        // A request the host will not fly closes the flight without a
+        // stall tick and runs solo.
+        let grounded = |r: &Request| match r {
+            Request::Insert { record } => record.get("x") != Some(&Value::Int(100)),
+            _ => true,
+        };
+        let mut totals = ExecTotals::default();
+        let plan = carve(&bulk_batch(0, None), &uniques(), grounded, &mut totals);
+        assert_eq!(plan, vec![0..100, 100..101, 101..256]);
+        assert_eq!(sched_counters(&totals), [0, 2, 0, 0, 155, 0]);
+    }
+
+    #[test]
+    fn both_hosts_count_identical_flights_for_bulk_loads() {
+        let hosts: [Box<dyn abdl::Kernel>; 2] = [
+            Box::new(crate::Controller::with_replication_chan(4, 2)),
+            Box::new(crate::SimCluster::new(4)),
+        ];
+        let mut counters = Vec::new();
+        for mut host in hosts {
+            host.create_file("g");
+            host.add_unique_constraint("g", vec!["u".to_owned()]);
+            let results = host.execute_batch(&bulk_batch(0, None));
+            assert!(results.iter().all(|r| r.is_ok()));
+            assert_eq!(sched_counters(&host.exec_totals()), [256, 1, 0, 0, 256, 0]);
+            let results = host.execute_batch(&bulk_batch(1000, Some(200)));
+            for (i, r) in results.iter().enumerate() {
+                assert_eq!(r.is_err(), i == 200, "member {i}: {r:?}");
+            }
+            let totals = host.exec_totals();
+            assert_eq!(sched_counters(&totals), [512, 3, 0, 0, 256, 1]);
+            counters.push(sched_counters(&totals));
+        }
+        assert_eq!(counters[0], counters[1], "Controller and SimCluster carve differently");
     }
 
     #[test]

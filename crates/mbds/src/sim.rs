@@ -1345,18 +1345,17 @@ impl Kernel for SimCluster {
     }
 
     fn execute_batch(&mut self, requests: &[Request]) -> Vec<Result<Response>> {
-        // Mirror of the threaded controller's conflict scheduler: the
-        // simulator walks the same footprint algebra and counts the
-        // same flights/stalls, but executes members serially — the
-        // cost model already charges backend work as if concurrent
-        // members overlapped (per-backend busy times are maxed, not
-        // summed), so only the accounting needs mirroring here.
+        // The threaded controller's conflict scheduler, through the
+        // same `sched::carve`: the simulator counts the same
+        // flights/stalls but executes members serially — the cost
+        // model already charges backend work as if concurrent members
+        // overlapped (per-backend busy times are maxed, not summed), so
+        // only the accounting is shared here.
         if requests.len() < 2 {
             return requests.iter().map(|r| self.execute(r)).collect();
         }
         self.totals.batched_requests += requests.len() as u64;
         self.wal_begin_batch();
-        let mut results = Vec::with_capacity(requests.len());
         // An in-flight group move is a standing broadcast-write
         // conflict: while the rebalance queue is non-empty the
         // scheduler refuses to stage flights at all, mirroring the
@@ -1365,48 +1364,15 @@ impl Kernel for SimCluster {
         if rebalancing {
             self.totals.rebalance_stalls += requests.len() as u64;
         }
-        let mut i = 0;
-        while i < requests.len() {
-            let mut flight_fps: Vec<crate::sched::Footprint> = Vec::new();
-            let mut j = i;
-            while !rebalancing && j < requests.len() {
-                let flyable = matches!(
-                    requests[j],
-                    Request::Insert { .. } | Request::Retrieve { .. }
-                );
-                if !flyable {
-                    break;
-                }
-                let fp = crate::sched::Footprint::of(&requests[j], self.uniques.groups());
-                if fp.broadcast && fp.write {
-                    break;
-                }
-                if flight_fps.iter().any(|f| f.conflicts(&fp)) {
-                    self.totals.conflict_stalls += 1;
-                    break;
-                }
-                flight_fps.push(fp);
-                j += 1;
-            }
-            if j - i >= 2 {
-                let reads = requests[i..j]
-                    .iter()
-                    .filter(|r| matches!(r, Request::Retrieve { .. }))
-                    .count();
-                self.totals.sched_flights += 1;
-                if reads == j - i {
-                    self.totals.sched_read_flights += 1;
-                } else if reads > 0 {
-                    self.totals.sched_mixed_flights += 1;
-                }
-                self.totals.sched_max_flight =
-                    self.totals.sched_max_flight.max((j - i) as u64);
-            }
-            for r in &requests[i..j.max(i + 1)] {
-                results.push(self.execute(r));
-            }
-            i = j.max(i + 1);
-        }
+        // The plan only feeds the counters: members execute serially.
+        crate::sched::carve(
+            requests,
+            self.uniques.groups(),
+            |r| !rebalancing && matches!(r, Request::Insert { .. } | Request::Retrieve { .. }),
+            &mut self.totals,
+        );
+        let mut results: Vec<Result<Response>> =
+            requests.iter().map(|r| self.execute(r)).collect();
         if let Err(e) = self.wal_commit_batch() {
             for (req, result) in requests.iter().zip(results.iter_mut()) {
                 let mutating = matches!(

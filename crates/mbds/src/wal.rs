@@ -47,19 +47,30 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`. Table-free bitwise
-/// implementation — the log appends dozens of bytes per entry, so
-/// throughput is irrelevant next to the `fsync`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The byte-at-a-time lookup table of [`crc32`]: entry `i` is `i`
+/// pushed through eight rounds of the reflected IEEE polynomial.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum of every
+/// log line and every wire frame. Table-driven, one lookup per byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes
+        .iter()
+        .fold(!0u32, |crc, &b| CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8))
 }
 
 /// One logged directory mutation. The payload grammar reuses ABDL's
@@ -188,31 +199,49 @@ fn bad(msg: impl Into<String>) -> Error {
 impl LogRecord {
     /// The entry payload (without sequence number or checksum).
     pub fn encode(&self) -> String {
-        match self {
-            LogRecord::CreateFile { name } => format!("create {name}"),
-            LogRecord::Unique { file, attrs } => format!("unique {file} {}", attrs.join(" ")),
-            LogRecord::ReserveKey { key } => format!("key {key}"),
-            LogRecord::Alloc { key, file } => format!("alloc {key} {file}"),
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`LogRecord::encode`]'s payload to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        // `fmt::Write` into a `String` cannot fail.
+        let _ = match self {
+            LogRecord::CreateFile { name } => write!(out, "create {name}"),
+            LogRecord::Unique { file, attrs } => write!(out, "unique {file} {}", attrs.join(" ")),
+            LogRecord::ReserveKey { key } => write!(out, "key {key}"),
+            LogRecord::Alloc { key, file } => write!(out, "alloc {key} {file}"),
             LogRecord::Insert { key, group, record } => {
-                let group: Vec<String> = group.iter().map(usize::to_string).collect();
-                format!("insert {key} {} {record}", group.join(","))
+                let _ = write!(out, "insert {key} ");
+                write_joined(out, group);
+                write!(out, " {record}")
             }
-            LogRecord::Exec { request } => format!("exec {request}"),
-            LogRecord::Dead { backend } => format!("dead {backend}"),
-            LogRecord::RestartBegin { backend } => format!("restart-begin {backend}"),
-            LogRecord::RestartEnd { backend } => format!("restart-end {backend}"),
+            LogRecord::Exec { request } => write!(out, "exec {request}"),
+            LogRecord::Dead { backend } => write!(out, "dead {backend}"),
+            LogRecord::RestartBegin { backend } => write!(out, "restart-begin {backend}"),
+            LogRecord::RestartEnd { backend } => write!(out, "restart-end {backend}"),
             LogRecord::MoveBegin { from, to, keys } => {
-                let keys: Vec<String> = keys.iter().map(u64::to_string).collect();
-                format!("move-begin {} {} {}", join_members(from), join_members(to), keys.join(","))
+                out.push_str("move-begin ");
+                write_joined(out, from);
+                out.push(' ');
+                write_joined(out, to);
+                out.push(' ');
+                write_joined(out, keys);
+                Ok(())
             }
             LogRecord::MoveEnd { from, to } => {
-                format!("move-end {} {}", join_members(from), join_members(to))
+                out.push_str("move-end ");
+                write_joined(out, from);
+                out.push(' ');
+                write_joined(out, to);
+                Ok(())
             }
-            LogRecord::AddBackend { backend } => format!("add-backend {backend}"),
-            LogRecord::AddEnd { backend } => format!("add-end {backend}"),
-            LogRecord::DrainBegin { backend } => format!("drain-begin {backend}"),
-            LogRecord::DrainEnd { backend } => format!("drain-end {backend}"),
-        }
+            LogRecord::AddBackend { backend } => write!(out, "add-backend {backend}"),
+            LogRecord::AddEnd { backend } => write!(out, "add-end {backend}"),
+            LogRecord::DrainBegin { backend } => write!(out, "drain-begin {backend}"),
+            LogRecord::DrainEnd { backend } => write!(out, "drain-end {backend}"),
+        };
     }
 
     /// Parse an entry payload produced by [`LogRecord::encode`].
@@ -279,10 +308,15 @@ impl LogRecord {
     }
 }
 
-/// Render a replica-group member list as the log's `a,b,c` form.
-fn join_members(group: &[usize]) -> String {
-    let members: Vec<String> = group.iter().map(usize::to_string).collect();
-    members.join(",")
+/// Append `items` to `out` as the log's comma-separated `a,b,c` form
+/// (replica-group members, moved keys).
+fn write_joined(out: &mut String, items: &[impl std::fmt::Display]) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
 }
 
 /// Parse a `a,b,c` replica-group member list.
@@ -978,18 +1012,28 @@ impl Wal {
             return Err(Error::Unavailable("controller crashed (injected)".into()));
         }
         // Epoch fence: once a standby has promoted (raising the store's
-        // fence), every append from this demoted log is refused *before*
+        // fence), appends from this demoted log are refused *before*
         // anything is written — the store never sees a stale record.
-        // This early check keeps already-fenced appends out of the batch
-        // buffer; the authoritative check is the store-side one, atomic
-        // with the write itself.
-        let fence = self.store.fence_epoch()?;
-        if fence > self.epoch {
-            return Err(fence_refused(self.epoch, fence));
+        // The authoritative check is the store-side one, atomic with the
+        // write itself (and a fenced batch flush retracts every mutating
+        // result of the batch), so inside an open batch only the first
+        // buffered append pays for this early read of the fence: it
+        // keeps an already-fenced batch from buffering at all.
+        if self.batch_depth == 0 || self.buffered.is_empty() {
+            let fence = self.store.fence_epoch()?;
+            if fence > self.epoch {
+                return Err(fence_refused(self.epoch, fence));
+            }
         }
-        let seq = self.next_seq;
-        let body = format!("{seq} {} {}", self.epoch, rec.encode());
-        let line = format!("{:08x} {body}", crc32(body.as_bytes()));
+        // `{crc:08x} {seq} {epoch} {payload}`, built in one buffer: the
+        // checksum covers everything after its own field and space.
+        let mut line = String::with_capacity(64);
+        let _ = write!(line, "00000000 {} {} ", self.next_seq, self.epoch);
+        rec.encode_into(&mut line);
+        let crc = crc32(&line.as_bytes()[9..]);
+        let hex: [u8; 8] =
+            std::array::from_fn(|i| b"0123456789abcdef"[(crc >> (28 - 4 * i)) as usize & 0xF]);
+        line.replace_range(..8, std::str::from_utf8(&hex).expect("hex digits are ASCII"));
         if self.batch_depth > 0 {
             self.buffered.push(line);
         } else {
@@ -1283,6 +1327,26 @@ mod tests {
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_form() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let mut rng = abdl::prng::Prng::seed_from_u64(0xC3C3_2C32);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0, 300) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0, 256) as u8).collect();
+            assert_eq!(crc32(&bytes), bitwise(&bytes), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //!    the scheduler's own batched execution matches the
 //!    admission-order serial digest byte-for-byte.
 //!
+//! 3. **The flight summary is the pairwise predicate** — over seeded
+//!    random flights, `Flight::admits` (the scheduler's O(1) union
+//!    check) equals `!members.any(conflicts)` at every step, and
+//!    `sched::carve` forms the flights and counters of a pairwise
+//!    reference carver.
+//!
 //! Record *contents* are compared order-invariantly (sorted canonical
 //! record text per file): swapping two inserts swaps which database
 //! key and placement rotor step each consumes, so the literal
@@ -22,8 +28,8 @@
 
 use mlds::abdl::parse::parse_request;
 use mlds::abdl::prng::Prng;
-use mlds::abdl::{Kernel, Record, Request, Value};
-use mlds::mbds::sched::UniqueGroups;
+use mlds::abdl::{ExecTotals, Kernel, Record, Request, Value};
+use mlds::mbds::sched::{self, Flight, UniqueGroups};
 use mlds::mbds::{Controller, Footprint};
 use std::collections::HashMap;
 
@@ -283,4 +289,165 @@ fn non_conflicting_inserts_have_order_independent_unique_outcomes() {
         );
     }
     assert!(checked >= 150, "generator produced too few same-file commuting pairs: {checked}");
+}
+
+/// One seeded request a flight can hold or be asked to admit: the
+/// inserts and retrieves of [`gen_request`] and [`gen_read`] (so
+/// FILE-less inserts, inserts claiming no tuple, broadcast reads,
+/// loose, key-scoped and half-scoped reads, composite groups), plus
+/// NULL-pinned reads (never a key scope) and inserts carrying an
+/// explicit NULL (which do claim a tuple).
+fn gen_flyable(rng: &mut Prng, read_share: i64) -> Request {
+    let roll = rng.gen_range(0, 100);
+    if roll < 6 {
+        let u = rng.gen_range(0, 8);
+        let query = match rng.gen_range(0, 3) {
+            0 => "(FILE = g) and (u = NULL)".to_owned(),
+            1 => format!("(FILE = k) and (u = {u}) and (v = NULL)"),
+            _ => format!("((FILE = k) and (u = NULL)) or ((FILE = g) and (u = {u}))"),
+        };
+        let text = format!("RETRIEVE ({query}) (*)");
+        return parse_request(&text).expect("generated read parses");
+    }
+    if roll < 9 {
+        let file = ["g", "k"][rng.gen_range(0, 2) as usize];
+        let record = Record::from_pairs([("FILE", Value::str(file))])
+            .with("u", Value::Null)
+            .with("v", Value::Int(rng.gen_range(0, 4)));
+        return Request::Insert { record };
+    }
+    if rng.gen_range(0, 100) < read_share {
+        return gen_read(rng);
+    }
+    loop {
+        let r = gen_request(rng);
+        if matches!(r, Request::Insert { .. } | Request::Retrieve { .. }) {
+            return r;
+        }
+    }
+}
+
+/// Property 3: the flight summary answers exactly as the pairwise
+/// predicate. Each sequence is carved the way `sched::carve` does it —
+/// a refused request starts the next flight, a broadcast write runs
+/// solo — and at every step `Flight::admits` must equal
+/// `!members.any(conflicts)`. Read-heavy sequences grow long read
+/// flights that inserts then probe against a large union.
+#[test]
+fn flight_summary_admits_exactly_what_pairwise_conflicts_allow() {
+    let uniques = uniques();
+    let mut rng = Prng::seed_from_u64(0xF116_4755);
+    let (mut admitted, mut refused, mut longest) = (0u32, 0u32, 0usize);
+    for _ in 0..2000 {
+        let len = rng.gen_range(1, 301);
+        let read_share = [20, 60, 97][rng.gen_range(0, 3) as usize];
+        let mut flight = Flight::default();
+        let mut members: Vec<Footprint> = Vec::new();
+        for _ in 0..len {
+            let request = gen_flyable(&mut rng, read_share);
+            let fp = Footprint::of(&request, &uniques);
+            let pairwise = !members.iter().any(|m| m.conflicts(&fp));
+            assert_eq!(
+                flight.admits(&fp),
+                pairwise,
+                "summary disagrees with the pairwise predicate on {request:?} after {} members:\n{:#?}",
+                members.len(),
+                members
+            );
+            if fp.broadcast && fp.write {
+                flight = Flight::default();
+                members.clear();
+                continue;
+            }
+            if pairwise {
+                admitted += 1;
+            } else {
+                refused += 1;
+                flight = Flight::default();
+                members.clear();
+            }
+            flight.push(fp.clone());
+            members.push(fp);
+            longest = longest.max(members.len());
+        }
+    }
+    assert!(admitted > 100_000 && refused > 30_000, "admitted {admitted}, refused {refused}");
+    assert!(longest >= 100, "longest flight only {longest} members");
+}
+
+/// Reference carver: the same admission-order walk with pairwise
+/// admission (`!members.any(conflicts)`), which `sched::carve` must
+/// reproduce range for range and counter for counter.
+fn carve_pairwise(
+    requests: &[Request],
+    uniques: &UniqueGroups,
+    may_fly: impl Fn(&Request) -> bool,
+    totals: &mut ExecTotals,
+) -> Vec<std::ops::Range<usize>> {
+    let mut plan = Vec::new();
+    let mut i = 0;
+    while i < requests.len() {
+        let mut flight_fps: Vec<Footprint> = Vec::new();
+        let mut j = i;
+        while j < requests.len() && may_fly(&requests[j]) {
+            let fp = Footprint::of(&requests[j], uniques);
+            if fp.broadcast && fp.write {
+                break;
+            }
+            if flight_fps.iter().any(|f| f.conflicts(&fp)) {
+                totals.conflict_stalls += 1;
+                break;
+            }
+            flight_fps.push(fp);
+            j += 1;
+        }
+        if j - i >= 2 {
+            let reads =
+                requests[i..j].iter().filter(|r| matches!(r, Request::Retrieve { .. })).count();
+            totals.sched_flights += 1;
+            if reads == j - i {
+                totals.sched_read_flights += 1;
+            } else if reads > 0 {
+                totals.sched_mixed_flights += 1;
+            }
+            totals.sched_max_flight = totals.sched_max_flight.max((j - i) as u64);
+        }
+        plan.push(i..j.max(i + 1));
+        i = j.max(i + 1);
+    }
+    plan
+}
+
+/// `sched::carve` forms exactly the flights, stalls and counters of the
+/// pairwise carving loop, over seeded batches of every request kind
+/// (deletes, updates and broadcast writes included) and both hosts'
+/// kinds of "may fly" rule.
+#[test]
+fn carve_matches_the_pairwise_carving_loop() {
+    let uniques = uniques();
+    let mut rng = Prng::seed_from_u64(0xCA4E);
+    for round in 0..500 {
+        let len = rng.gen_range(0, 80) as usize;
+        let read_share = [20, 60, 97][round % 3];
+        let batch: Vec<Request> = (0..len)
+            .map(|_| {
+                if rng.gen_range(0, 5) == 0 {
+                    gen_request(&mut rng)
+                } else {
+                    gen_flyable(&mut rng, read_share)
+                }
+            })
+            .collect();
+        // The controller grounds retrieves when parallel reads are off.
+        let parallel_reads = round % 4 != 0;
+        let may_fly = |r: &Request| match r {
+            Request::Insert { .. } => true,
+            Request::Retrieve { .. } => parallel_reads,
+            _ => false,
+        };
+        let (mut want, mut got) = (ExecTotals::default(), ExecTotals::default());
+        let expected = carve_pairwise(&batch, &uniques, may_fly, &mut want);
+        assert_eq!(sched::carve(&batch, &uniques, may_fly, &mut got), expected, "{batch:?}");
+        assert_eq!(got, want, "{batch:?}");
+    }
 }
